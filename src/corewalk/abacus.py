@@ -83,20 +83,6 @@ def is_top_aligned(display: AbacusDisplay) -> bool:
     return all(max_row[runner] == counts[runner] for runner in counts)
 
 
-def is_right_aligned(display: AbacusDisplay) -> bool:
-    """True when in every row the beads occupy the final runners p-k..p-1."""
-    min_runner: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    p = display.p
-    for q in display.beads:
-        row = q // p
-        runner = q % p
-        counts[row] = counts.get(row, 0) + 1
-        if runner < min_runner.get(row, p):
-            min_runner[row] = runner
-    return all(min_runner[row] == p - counts[row] for row in counts)
-
-
 def bead_multiplicities(display: AbacusDisplay) -> BeadMultiplicities:
     """Count beads per runner 1..p-1; requires a top-aligned display."""
     if not is_top_aligned(display):

@@ -177,7 +177,7 @@ def bounds_report(p: int, profile: LambdaProfile) -> BoundsReport:
     cb = c_bounds_check(p, profile)
     ono = mcspirit_ono_bound(p)
     upper = mcdowell_upper(p)
-    poly96 = p**6 + 6 * p**4 - 12 * p**3 + 89 * p**2 - 120 * p - 48
+    construction = mcdowell_construction_value(p)
 
     verdicts: dict[str, Optional[bool]] = {
         "theorem_lower": tv.lower_ok,
@@ -185,7 +185,7 @@ def bounds_report(p: int, profile: LambdaProfile) -> BoundsReport:
         "eq1_upper": size <= upper,
         "bound_chain": upper <= ono,
         "mcspirit_ono_upper": size <= ono,
-        "construction_comparison": 96 * size >= poly96,
+        "construction_comparison": size >= construction,
         "c_upper": cb.c_upper_ok,
         "c_lower": cb.c_lower_ok,
         "c18": cb.c18_ok,
@@ -196,7 +196,7 @@ def bounds_report(p: int, profile: LambdaProfile) -> BoundsReport:
         "eq1_upper": upper - size,
         "bound_chain": ono - upper,
         "mcspirit_ono_upper": ono - size,
-        "construction_comparison": 96 * size - poly96,
+        "construction_comparison": int(96 * (size - construction)),
         "c_upper": cb.margin_c_upper,
         "c_lower": cb.margin_c_lower,
         "c18": cb.margin_c18,

@@ -15,15 +15,12 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .bounds import (
     bounds_report,
-    failed_assertions,
-    mcdowell_construction_value,
     mcdowell_upper,
     mcspirit_ono_bound,
     theorem_interval_check,
@@ -53,23 +50,6 @@ TABLE_HEADER = "p,size,c,mcdowell_upper,mcspirit_ono,theorem_lower_ok,theorem_up
 VERIFY_CHECKS = ("theorem", "eq1", "c-bounds", "symmetry", "identity", "structure", "lemmas")
 ORACLE_MODES = ("walks", "longest-dp", "partitions")
 RATIO_DIGITS = 12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed arguments for one invocation."""
-
-    command: str
-    p: Optional[int] = None
-    lo: Optional[int] = None
-    hi: Optional[int] = None
-    fmt: str = "text"
-    output: Optional[str] = None
-    workers: int = 1
-    checks: tuple[str, ...] = VERIFY_CHECKS
-    emit: tuple[str, ...] = ()
-    mode: str = "walks"
-    n_max: Optional[int] = None
 
 
 def _decimal_ratio(num: int, den: int, digits: int = RATIO_DIGITS) -> str:
@@ -112,8 +92,8 @@ def _bool_token(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _require_odd_prime(p: Optional[int]) -> int:
-    if p is None or p < 3 or not is_prime(p):
+def _require_odd_prime(p: int) -> int:
+    if p < 3 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     return p
 
@@ -124,14 +104,14 @@ def _require_odd_prime(p: Optional[int]) -> int:
 MAX_PARTS_PRIME = 300
 
 
-def cmd_lambda(cfg: RunConfig) -> int:
-    p = _require_odd_prime(cfg.p)
-    emit = cfg.emit
+def cmd_lambda(args: argparse.Namespace) -> int:
+    p = _require_odd_prime(args.p)
+    emit = args.emit
     if "parts" in emit and p > MAX_PARTS_PRIME:
         raise ValueError(f"explicit parts are limited to p <= {MAX_PARTS_PRIME}, got {p}")
     profile = lambda_profile(p)
     ratio = _decimal_ratio(24 * profile.size, p**6)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc: dict = {
             "p": p,
             "size": str(profile.size),
@@ -154,7 +134,7 @@ def cmd_lambda(cfg: RunConfig) -> int:
         if "parts" in emit:
             lines.append("parts: " + format_partition(profile_to_partition(profile)))
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output)
+    _write_output(text, args.output)
     return 0
 
 
@@ -233,29 +213,27 @@ def _verify_row(args: tuple[int, tuple[str, ...]]) -> dict:
     return row
 
 
-def _prime_range(cfg: RunConfig) -> tuple[int, int, list[int]]:
-    lo, hi = cfg.lo, cfg.hi
-    if lo is None or hi is None:
-        raise ValueError("both --min and --max are required")
+def _prime_range(args: argparse.Namespace) -> tuple[int, int, list[int]]:
+    lo, hi = args.lo, args.hi
     if lo > hi:
         raise ValueError(f"bad range: --min {lo} exceeds --max {hi}")
     return lo, hi, primes_in_range(max(3, lo), hi)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    lo, hi, primes = _prime_range(cfg)
-    checks = cfg.checks
-    rows = _run_ordered(_verify_row, [(p, checks) for p in primes], cfg.workers)
+def cmd_verify(args: argparse.Namespace) -> int:
+    lo, hi, primes = _prime_range(args)
+    checks = args.checks
+    rows = _run_ordered(_verify_row, [(p, checks) for p in primes], args.workers)
     failures = sum(1 for row in rows if row["failed"])
 
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "meta": {"range": [lo, hi], "count": len(rows), "checks": list(checks), "version": __version__},
             "rows": rows,
             "failures": failures,
         }
         text = json.dumps(doc, indent=2) + "\n"
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         header = "p," + ",".join(checks) + ",notes"
         lines = [header]
         for row in rows:
@@ -277,17 +255,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         verdict = "no asserted failures" if failures == 0 else f"{failures} primes with asserted failures"
         lines.append(f"checked {len(rows)} primes in [{lo}, {hi}]: {verdict}")
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output)
+    _write_output(text, args.output)
     return 1 if failures else 0
 
 
 # brute-force cross-checks
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    p = _require_odd_prime(cfg.p)
-    lines = [f"mode: {cfg.mode}", f"p: {p}"]
-    if cfg.mode == "walks":
+def cmd_oracle(args: argparse.Namespace) -> int:
+    p = _require_odd_prime(args.p)
+    lines = [f"mode: {args.mode}", f"p: {p}"]
+    if args.mode == "walks":
         if p > MAX_ENUM_PRIME:
             raise ValueError(f"walk enumeration is capped at p <= {MAX_ENUM_PRIME}")
         cand = max_size_walk(p)
@@ -298,7 +276,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             raise VerificationError(f"enumerated maximal size {cand.size} != profile size {profile.size}")
         lines.append(f"unique maximal walk matches the profile: length={cand.length} size={cand.size}")
         lines.append("m: " + ",".join(map(str, cand.m)))
-    elif cfg.mode == "longest-dp":
+    elif args.mode == "longest-dp":
         if p > MAX_DP_PRIME:
             raise ValueError(f"the longest-walk dynamic program is capped at p <= {MAX_DP_PRIME}")
         result = longest_walk_dp(p)
@@ -307,7 +285,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
             raise VerificationError(f"longest walk row counts differ from the profile at p={p}")
         lines.append(f"unique longest walk matches the profile: length={result.length}")
         lines.append("m: " + ",".join(map(str, result.m)))
-    elif cfg.mode == "partitions":
+    elif args.mode == "partitions":
         profile = lambda_profile(p)
         found = exhaustive_partition_search(p, profile.size)
         expected = profile_to_partition(profile)
@@ -316,8 +294,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         lines.append(f"exhaustive search up to size {profile.size} found the same unique maximum")
         lines.append("parts: " + format_partition(expected))
     else:
-        raise ValueError(f"unknown oracle mode {cfg.mode!r}")
-    _write_output("\n".join(lines) + "\n", cfg.output)
+        raise ValueError(f"unknown oracle mode {args.mode!r}")
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -339,10 +317,10 @@ def _table_row(p: int) -> dict:
     }
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    lo, hi, primes = _prime_range(cfg)
-    rows = _run_ordered(_table_row, primes, cfg.workers)
-    if cfg.fmt == "json":
+def cmd_table(args: argparse.Namespace) -> int:
+    lo, hi, primes = _prime_range(args)
+    rows = _run_ordered(_table_row, primes, args.workers)
+    if args.fmt == "json":
         doc = {
             "meta": {"range": [lo, hi], "count": len(rows), "version": __version__},
             "rows": rows,
@@ -357,16 +335,16 @@ def cmd_table(cfg: RunConfig) -> int:
                 f"{row['ratio_24size_p6']}"
             )
         text = "\n".join(lines) + "\n"
-    _write_output(text, cfg.output)
+    _write_output(text, args.output)
     return 0
 
 
 # totient bound
 
 
-def cmd_totient_check(cfg: RunConfig) -> int:
-    n_max = cfg.n_max
-    if n_max is None or n_max < 1:
+def cmd_totient_check(args: argparse.Namespace) -> int:
+    n_max = args.n_max
+    if n_max < 1:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     result = totient_sum_check(n_max)
     lines = [f"checked n = 1..{result.n_max}: " + ("bound holds" if result.ok else "bound FAILS")]
@@ -383,7 +361,7 @@ def cmd_totient_check(cfg: RunConfig) -> int:
             f"smallest certified slack at n = {result.argmin_n}: in "
             f"[{_decimal_fraction(slack_lo)}, {_decimal_fraction(slack_hi)})"
         )
-    _write_output("\n".join(lines) + "\n", cfg.output)
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0 if result.ok else 1
 
 
@@ -410,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lambda", help="construct the profile for one prime")
     sp.add_argument("-p", type=int, required=True, dest="p")
-    sp.add_argument("--emit", action="append", choices=("m", "b", "parts"), default=None)
+    sp.add_argument("--emit", action="append", choices=("m", "b", "parts"), default=[])
     sp.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
     sp.add_argument("--output")
     sp.set_defaults(func=cmd_lambda)
@@ -445,39 +423,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=ns.command,
-        p=getattr(ns, "p", None),
-        lo=getattr(ns, "lo", None),
-        hi=getattr(ns, "hi", None),
-        fmt=getattr(ns, "fmt", "text"),
-        output=getattr(ns, "output", None),
-        workers=getattr(ns, "workers", 1),
-        checks=tuple(getattr(ns, "checks", VERIFY_CHECKS)),
-        emit=tuple(getattr(ns, "emit", None) or ()),
-        mode=getattr(ns, "mode", "walks"),
-        n_max=getattr(ns, "n_max", None),
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = _config_from_namespace(ns)
-    if cfg.workers < 1:
+    if getattr(ns, "workers", 1) < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
     try:
-        return ns.func(cfg)
+        return ns.func(ns)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large for this machine", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,21 +30,14 @@ from .errors import ClassificationError, VerificationError
 from .modarith import inverse_range, is_prime, isqrt, mod_inverse
 from .partitions import Partition
 
-S_CLASS = "S"
-T_CLASS = "T"
-_S_CODE = 1
-_T_CODE = 2
+# codes stored in ResidueClassification.kind
+S_CLASS = 1
+T_CLASS = 2
 
 # int64 products in the table pipeline stay below 2**62 as long as p < 2**31
 _FAST_P_LIMIT = 1 << 31
 
 DEFAULT_MAX_PARTS = 20_000_000
-
-
-class ClassEntry(NamedTuple):
-    kind: str
-    r: int
-    s: int
 
 
 class StepBounds(NamedTuple):
@@ -58,8 +51,6 @@ class MinimalPairRecord:
     i: int
     x: int
     y: int
-    kind: Optional[str] = None
-    witness: Optional[tuple[int, int]] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,41 +159,18 @@ def _coprime_pair_tables(k: int) -> _PairTables:
 
 @dataclass(frozen=True, eq=False)
 class ResidueClassification:
-    """Map-like view of the witness classification of residues 1..p-2.
+    """Witness classification of residues 1..p-2, as arrays indexed by i.
 
-    classification[i] yields a ClassEntry; the minimal pairs computed
-    alongside are exposed through pair(i) and consumed in bulk by
-    lambda_profile.
+    kind[i] is S_CLASS or T_CLASS, (wr[i], ws[i]) is the witness (r, s) and
+    (x[i], y[i]) the minimal pair; index 0 and p-1 hold zeros.
     """
 
     p: int
-    _kind: np.ndarray
-    _wr: np.ndarray
-    _ws: np.ndarray
-    _x: np.ndarray
-    _y: np.ndarray
-
-    def __getitem__(self, i: int) -> ClassEntry:
-        if not 1 <= i <= self.p - 2:
-            raise KeyError(i)
-        code = int(self._kind[i])
-        kind = S_CLASS if code == _S_CODE else T_CLASS
-        return ClassEntry(kind, int(self._wr[i]), int(self._ws[i]))
-
-    def pair(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self.p - 2:
-            raise KeyError(i)
-        return int(self._x[i]), int(self._y[i])
-
-    def __len__(self) -> int:
-        return self.p - 2
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(1, self.p - 1))
-
-    def items(self) -> Iterator[tuple[int, ClassEntry]]:
-        for i in range(1, self.p - 1):
-            yield i, self[i]
+    kind: np.ndarray
+    wr: np.ndarray
+    ws: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
 
 
 def classify_residues(p: int) -> ResidueClassification:
@@ -245,7 +213,7 @@ def classify_residues(p: int) -> ResidueClassification:
     ws = np.zeros(p, dtype=np.int64)
     x = np.zeros(p, dtype=np.int64)
     y = np.zeros(p, dtype=np.int64)
-    kind[i_t] = _T_CODE
+    kind[i_t] = T_CLASS
     wr[i_t] = tables.r_all
     ws[i_t] = tables.s_all
     x[i_t] = tables.r_all
@@ -262,7 +230,7 @@ def classify_residues(p: int) -> ResidueClassification:
         raise ClassificationError(f"split point misses divisibility at p={p}")
     other = rem // mx
     s_gt = tables.s_ne > tables.r_ne
-    kind[i_s] = _S_CODE
+    kind[i_s] = S_CLASS
     wr[i_s] = tables.r_ne
     ws[i_s] = tables.s_ne
     x[i_s] = np.where(s_gt, other, w)
@@ -275,35 +243,6 @@ def classify_residues(p: int) -> ResidueClassification:
     return ResidueClassification(p, kind, wr, ws, x, y)
 
 
-def minimal_pair_fast(i: int, entry: ClassEntry, p: int) -> MinimalPairRecord:
-    """Closed-form minimal pair from a classified witness.
-
-    Sum-form residues take (x, y) = (r, s) directly.  Fraction-form residues
-    solve s*x + r*y = p: with mn = min(r, s) and mx = max(r, s), the unique
-    admissible split has w = (p mod mx) * inv(mn) mod mx steps on the mn
-    side, and the pair is ((p - mn*w)/mx, w) when s > r, mirrored otherwise.
-    """
-    _validate_odd_prime(p)
-    if not 1 <= i <= p - 2:
-        raise ValueError(f"label must lie in 1..{p - 2}, got {i}")
-    r, s = entry.r, entry.s
-    if entry.kind == T_CLASS:
-        x, y = r, s
-    elif entry.kind == S_CLASS:
-        mn, mx = (r, s) if r < s else (s, r)
-        w = (p % mx) * pow(mn, -1, mx) % mx
-        a = mn * w
-        if w < 1 or (p - a) % mx:
-            raise ClassificationError(f"bad split point for witness {entry} at i={i}, p={p}")
-        other = (p - a) // mx
-        x, y = (other, w) if s > r else (w, other)
-    else:
-        raise ValueError(f"unknown class {entry.kind!r}")
-    if (i * x + (i + 1) * y) % p:
-        raise ClassificationError(f"witness {entry} does not belong to i={i} mod {p}")
-    return MinimalPairRecord(i, x, y, entry.kind, (r, s))
-
-
 def _check(condition: bool, what: str, p: int) -> None:
     if not condition:
         raise VerificationError(f"profile invariant violated at p={p}: {what}")
@@ -314,13 +253,14 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
 
     m[1] = p-1 and m[p-1] = p-2 are the climb and the descent; in between,
     m[i] = p - y[i-1] - x[i] counts the label-i rows of the two adjacent
-    excursions.  All structural identities are re-checked before returning.
+    excursions.  The profile is returned only if check_symmetry and
+    check_sum_identity find nothing and the pairs, rows and anchors are sane.
     """
     _validate_odd_prime(p)
     cls_ = classification if classification is not None else classify_residues(p)
     if cls_.p != p:
         raise ValueError(f"classification is for p={cls_.p}, not p={p}")
-    x, y = cls_._x, cls_._y
+    x, y = cls_.x, cls_.y
 
     m = np.zeros(p, dtype=np.int64)
     m[1] = p - 1
@@ -338,13 +278,12 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     _check(bool((x[1 : p - 1] >= 1).all()) and bool((y[1 : p - 1] >= 1).all()), "pair positivity", p)
     _check(bool((m[1:] >= 0).all()), "nonnegative row counts", p)
     _check(int(d[1]) == 1 and int(d[p - 1]) == 2, "anchor gap counts", p)
-    _check(int(c_prefix[p - 1]) == c + 1, "gap total equals c + 1", p)
-    _check(bool((c_prefix[1 : p - 1] + c_prefix[p - 2 : 0 : -1] == c).all()), "gap prefix symmetry", p)
-    _check(bool((m[2 : p - 1] == m[p - 2 : 1 : -1]).all()), "row count symmetry", p)
-    _check(bool((x[1 : p - 1] == y[p - 2 : 0 : -1]).all()), "pair mirror symmetry", p)
 
     size = size_from_bead_multiplicities(BeadMultiplicities(p, tuple(b[1:].tolist())))
-    return LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
+    profile = LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
+    violations = check_symmetry(profile) + check_sum_identity(profile)
+    _check(not violations, "; ".join(violations), p)
+    return profile
 
 
 def partition_from_row_counts(p: int, row_counts) -> Partition:
@@ -470,7 +409,11 @@ def check_sum_identity(profile: LambdaProfile) -> list[str]:
     """Exact bead total: sum b_i = p^2 (p-1)/2 - p c / 2 - 1, checked doubled."""
     p, c = profile.p, profile.c
     out = []
-    total = sum(profile.b[1:].tolist())
+    # b_i <= sum(m) < p^2 < 2^62, so each 31-bit limb is below 2^31 and each
+    # limb sum stays below p * 2^31 < 2^62 for p < _FAST_P_LIMIT; the total
+    # itself is about p^3 / 2, so a plain int64 b.sum() wraps above p ~ 2.6e6
+    b = profile.b[1:]
+    total = (int((b >> 31).sum()) << 31) + int((b & (2**31 - 1)).sum())
     if 2 * total != p * p * (p - 1) - p * c - 2:
         out.append("bead total identity fails")
     if int(profile.c_prefix[p - 1]) != c + 1:
@@ -492,9 +435,9 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
     t = profile.x + profile.y
     viol: list[str] = []
     notes: list[str] = []
-    s_idx = np.flatnonzero(classification._kind == _S_CODE)
+    s_idx = np.flatnonzero(classification.kind == S_CLASS)
     if s_idx.size:
-        mx = np.maximum(classification._wr[s_idx], classification._ws[s_idx])
+        mx = np.maximum(classification.wr[s_idx], classification.ws[s_idx])
         prod = mx * t[s_idx]
         bad = np.flatnonzero(prod <= p)
         if bad.size:
@@ -502,9 +445,9 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
         bad = np.flatnonzero(prod >= p + mx * mx - mx)
         if bad.size:
             viol.append(f"fraction-form upper bound fails at i={int(s_idx[bad[0]])}")
-    t_idx = np.flatnonzero(classification._kind == _T_CODE)
+    t_idx = np.flatnonzero(classification.kind == T_CLASS)
     if t_idx.size:
-        rs = classification._wr[t_idx] + classification._ws[t_idx]
+        rs = classification.wr[t_idx] + classification.ws[t_idx]
         bad = np.flatnonzero(t[t_idx] > rs)
         if bad.size:
             viol.append(f"sum-form bound fails at i={int(t_idx[bad[0]])}")

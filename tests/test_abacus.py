@@ -7,7 +7,6 @@ from corewalk.abacus import (
     BeadMultiplicities,
     abacus_to_partition,
     bead_multiplicities,
-    is_right_aligned,
     is_top_aligned,
     partition_to_abacus,
     size_from_bead_multiplicities,
@@ -51,12 +50,8 @@ def test_top_aligned_iff_p_core(lam, p):
 def test_alignment_frozen():
     disp = AbacusDisplay(3, frozenset({1, 2, 4, 5, 8}))
     assert is_top_aligned(disp)
-    assert is_right_aligned(disp)
     # bead on runner 0 above a gap in row 1: not top-aligned
     assert not is_top_aligned(AbacusDisplay(3, frozenset({1, 3})))
-    # rows (1,2) then (2): right-aligned; rows (1) alone: not
-    assert not is_right_aligned(AbacusDisplay(3, frozenset({1})))
-    assert is_right_aligned(AbacusDisplay(3, frozenset({2})))
 
 
 def test_bead_multiplicities_frozen():

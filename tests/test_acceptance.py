@@ -87,7 +87,7 @@ def test_criterion_3_fast_path_correctness():
             cls = classify_residues(p)
             for i in range(1, p - 1):
                 direct = minimal_pair_direct(i, p)
-                if cls.pair(i) != (direct.x, direct.y):
+                if (cls.x[i], cls.y[i]) != (direct.x, direct.y):
                     ok = False
                     break
             if not ok:

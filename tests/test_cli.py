@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from corewalk import cli
 from corewalk.cli import _decimal_ratio, main
 
 
@@ -184,8 +185,20 @@ def test_totient_check_guard(capsys):
 
 
 def test_workers_guard(capsys):
-    code, _, _ = run(capsys, "verify", "--min", "3", "--max", "5", "--workers", "0")
+    code, _, err = run(capsys, "verify", "--min", "3", "--max", "5", "--workers", "0")
     assert code == 2
+    assert err == "error: --workers must be at least 1\n"
+
+
+def test_out_of_memory_exits_cleanly(capsys, monkeypatch):
+    def exhausted(p, classification=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lambda_profile", exhausted)
+    code, out, err = run(capsys, "lambda", "-p", "10000019")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
 
 
 def test_help_exits_cleanly(capsys):

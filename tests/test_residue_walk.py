@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from corewalk.residue_walk import (
     classify_residues,
     lambda_profile,
     minimal_pair_direct,
-    minimal_pair_fast,
     partition_from_row_counts,
     profile_to_partition,
     step_bounds,
@@ -28,30 +29,26 @@ PRIMES_TO_100 = primes_in_range(3, 100)
 
 def test_classification_p3():
     cls = classify_residues(3)
-    assert len(cls) == 1
-    assert cls[1].kind == T_CLASS
-    assert (cls[1].r, cls[1].s) == (1, 1)
-    assert cls.pair(1) == (1, 1)
+    assert cls.kind[1:2].tolist() == [T_CLASS]
+    assert (cls.wr[1], cls.ws[1]) == (1, 1)
+    assert (cls.x[1], cls.y[1]) == (1, 1)
 
 
 def test_classification_p5():
     cls = classify_residues(5)
-    assert {i: e.kind for i, e in cls.items()} == {1: S_CLASS, 2: T_CLASS, 3: S_CLASS}
-    assert (cls[1].r, cls[1].s) == (2, 1)
-    assert (cls[2].r, cls[2].s) == (1, 1)
-    assert (cls[3].r, cls[3].s) == (1, 2)
-    assert [cls.pair(i) for i in cls] == [(1, 2), (1, 1), (2, 1)]
+    assert cls.kind[1:4].tolist() == [S_CLASS, T_CLASS, S_CLASS]
+    assert cls.wr[1:4].tolist() == [2, 1, 1]
+    assert cls.ws[1:4].tolist() == [1, 1, 2]
+    assert list(zip(cls.x[1:4].tolist(), cls.y[1:4].tolist())) == [(1, 2), (1, 1), (2, 1)]
 
 
 def test_classification_p11():
     cls = classify_residues(11)
-    kinds = {i: e.kind for i, e in cls.items()}
-    assert kinds == {
-        1: S_CLASS, 2: S_CLASS, 3: T_CLASS, 4: S_CLASS, 5: T_CLASS,
-        6: S_CLASS, 7: T_CLASS, 8: S_CLASS, 9: S_CLASS,
-    }
-    assert [cls.pair(i)[0] for i in cls] == [1, 1, 1, 3, 1, 2, 2, 3, 5]
-    assert [cls.pair(i)[1] for i in cls] == [5, 3, 2, 2, 1, 3, 1, 1, 1]
+    assert cls.kind[1:10].tolist() == [
+        S_CLASS, S_CLASS, T_CLASS, S_CLASS, T_CLASS, S_CLASS, T_CLASS, S_CLASS, S_CLASS,
+    ]
+    assert cls.x[1:10].tolist() == [1, 1, 1, 3, 1, 2, 2, 3, 5]
+    assert cls.y[1:10].tolist() == [5, 3, 2, 2, 1, 3, 1, 1, 1]
 
 
 def test_classification_rejects_bad_p():
@@ -63,39 +60,35 @@ def test_classification_rejects_bad_p():
         classify_residues(2**31 + 11)
 
 
-def test_classification_mapping_protocol():
+def test_classification_array_layout():
+    # arrays are indexed by label: only 1..p-2 carry a class, a witness and a pair
     cls = classify_residues(13)
-    assert len(cls) == 11
-    assert list(cls) == list(range(1, 12))
-    with pytest.raises(KeyError):
-        cls[0]
-    with pytest.raises(KeyError):
-        cls[12]
-    with pytest.raises(KeyError):
-        cls.pair(12)
+    for arr in (cls.kind, cls.wr, cls.ws, cls.x, cls.y):
+        assert arr.shape == (13,)
+        assert arr[0] == 0 and arr[12] == 0
+        assert (arr[1:12] >= 1).all()
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_witness_congruences(p):
     # an S witness means i = s/(r-s), a T witness means i = -s/(r+s), mod p
     cls = classify_residues(p)
-    for i, entry in cls.items():
-        r, s = entry.r, entry.s
-        if entry.kind == S_CLASS:
+    for i in range(1, p - 1):
+        r, s = int(cls.wr[i]), int(cls.ws[i])
+        if cls.kind[i] == S_CLASS:
             assert r != s
             assert i == s * mod_inverse(r - s, p) % p
         else:
+            assert cls.kind[i] == T_CLASS
             assert i == (p - s) * mod_inverse(r + s, p) % p
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_fast_pairs_match_direct_search(p):
     cls = classify_residues(p)
-    for i, entry in cls.items():
-        fast = minimal_pair_fast(i, entry, p)
+    for i in range(1, p - 1):
         direct = minimal_pair_direct(i, p)
-        assert (fast.x, fast.y) == (direct.x, direct.y), (p, i)
-        assert cls.pair(i) == (direct.x, direct.y)
+        assert (cls.x[i], cls.y[i]) == (direct.x, direct.y), (p, i)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
@@ -261,6 +254,30 @@ def test_sum_identity_check_catches_broken_profile():
     assert any("bead total" in v for v in check_sum_identity(bad))
 
 
+def test_sum_identity_bead_total_is_exact_near_int64_limit():
+    prof = lambda_profile(11)
+    p = prof.p
+    b = np.full(p, 2**62 - 1, dtype=np.int64)
+    b[0] = 0
+    b[1] -= (sum(b[1:].tolist()) + 1) % p
+    total = sum(b[1:].tolist())
+    assert total % p == p - 1
+    assert int(b[1:].sum()) != total  # a plain int64 sum wraps here
+    c = (p * p * (p - 1) - 2 - 2 * total) // p
+    big = dataclasses.replace(prof, b=b, c=c)
+    assert not any("bead total" in v for v in check_sum_identity(big))
+    b[1] += 1
+    assert any("bead total" in v for v in check_sum_identity(big))
+
+
+def test_profile_rejects_broken_classification():
+    cls = classify_residues(11)
+    x = cls.x.copy()
+    x[1] += 1
+    with pytest.raises(VerificationError, match="pair mirror symmetry"):
+        lambda_profile(11, dataclasses.replace(cls, x=x))
+
+
 def test_profile_rejects_bad_p():
     for bad in (2, 4, 1, 0):
         with pytest.raises(ValueError):
@@ -273,10 +290,4 @@ def test_fast_pairs_match_direct_on_sampled_larger_primes(p):
     cls = classify_residues(p)
     for i in range(1, p - 1, 17):
         direct = minimal_pair_direct(i, p)
-        assert cls.pair(i) == (direct.x, direct.y)
-
-
-def test_minimal_pair_fast_rejects_wrong_witness():
-    cls5 = classify_residues(5)
-    with pytest.raises(VerificationError):
-        minimal_pair_fast(1, cls5[3], 5)
+        assert (cls.x[i], cls.y[i]) == (direct.x, direct.y)
