@@ -8,11 +8,14 @@ every bead contributes a part equal to the number of gaps preceding it.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import count
 
+import numpy as np
+
+from .modarith import label_blocks
 from .partitions import Partition
+
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -32,22 +35,34 @@ class AbacusDisplay:
             raise ValueError("position 0 must be a gap")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeadMultiplicities:
-    """Bead counts per runner 1..p-1 of a top-aligned display (runner 0 empty)."""
+    """Bead counts per runner 1..p-1 of a top-aligned display (runner 0 empty).
+
+    b is held as a read-only int64 array (a view when the counts already are
+    one), so every count must satisfy 0 <= b_i < 2^63.  A profile meets this
+    with room to spare: b_i <= sum(m) < p^2 < 2^62 for p < _FAST_P_LIMIT.
+    size_from_bead_multiplicities reduces b over blocks of _BLOCK runners in
+    16-bit limbs; each limb product is below 2^32, so no block sum reaches
+    2^63 and the size is exact.
+    """
 
     p: int
-    b: tuple[int, ...]
+    b: np.ndarray
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"need p >= 2, got {self.p}")
-        if not isinstance(self.b, tuple):
-            object.__setattr__(self, "b", tuple(self.b))
         if len(self.b) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} runner counts, got {len(self.b)}")
-        if self.b and min(self.b) < 0:
+        b = np.asarray(self.b)
+        if b.dtype.kind not in "iu" or (b.dtype.kind == "u" and int(b.max()) > _INT64_MAX):
+            raise ValueError("runner counts must be integers below 2^63")
+        b = b.astype(np.int64, copy=False).view()
+        if int(b.min()) < 0:
             raise ValueError("runner counts must be nonnegative")
+        b.flags.writeable = False
+        object.__setattr__(self, "b", b)
 
 
 def partition_to_abacus(lam: Partition, p: int) -> AbacusDisplay:
@@ -93,19 +108,33 @@ def bead_multiplicities(display: AbacusDisplay) -> BeadMultiplicities:
         counts[q % p] += 1
     if counts[0]:
         raise ValueError("beads on runner 0 correspond to parts divisible by p")
-    return BeadMultiplicities(p, tuple(counts[1:]))
+    return BeadMultiplicities(p, counts[1:])
 
 
 def size_from_bead_multiplicities(bm: BeadMultiplicities) -> int:
     """Size of the p-core determined by runner counts b_1..b_{p-1}.
 
     Evaluates -(1/2)(sum b)^2 + (p/2) sum b^2 + sum (i - (p-1)/2) b_i exactly
-    by working in doubled units and halving at the end.
+    by working in doubled units and halving at the end.  sum b, sum b^2 and
+    sum i b_i are accumulated in Python ints from int64 limb sums over blocks
+    of _BLOCK runners: with b_i = sum_j 2^(16j) L_j and i = lo + t inside a
+    block (as many limbs as its largest count needs), every product L_j L_k
+    or t L_j is below 2^32, so each block sum stays below _BLOCK * 2^32 < 2^63
+    (see BeadMultiplicities).
     """
     p, b = bm.p, bm.b
-    s1 = sum(b)
-    s2 = sum(map(operator.mul, b, b))
-    sl = sum(map(operator.mul, count(1), b))
+    s1 = s2 = sl = 0
+    for lo, hi in label_blocks(1, p):
+        block = b[lo - 1 : hi - 1]
+        limbs = [(block >> shift) & 0xFFFF for shift in range(0, int(block.max()).bit_length(), 16)]
+        t = np.arange(hi - lo, dtype=np.int64)
+        for j, lj in enumerate(limbs):
+            limb_sum = int(lj.sum())
+            s1 += limb_sum << (16 * j)
+            sl += (lo * limb_sum + int((t * lj).sum())) << (16 * j)
+            s2 += int((lj * lj).sum()) << (32 * j)
+            for k in range(j + 1, len(limbs)):
+                s2 += int((lj * limbs[k]).sum()) << (16 * (j + k) + 1)
     doubled = -s1 * s1 + p * s2 + 2 * sl - (p - 1) * s1
     half, rem = divmod(doubled, 2)
     if rem:

@@ -54,7 +54,7 @@ def enumerate_valid_walks(p: int, visitor: Callable[[WalkCandidate], None], max_
         raise ValueError(f"p must be prime, got {p}")
     if p > max_p:
         raise ValueError(f"enumeration is capped at p <= {max_p}, got {p}")
-    inv = inverse_range(p - 1, p)
+    inv = inverse_range(p - 1, p).tolist()
     m = [0] * p
 
     def rec(label: int, v: int, w: int, size: int) -> int:
@@ -135,7 +135,7 @@ def longest_walk_dp(p: int, compare_profile: bool = True) -> LongestWalkResult:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_DP_PRIME:
         raise ValueError(f"dynamic program is capped at p <= {MAX_DP_PRIME}, got {p}")
-    inv = inverse_range(p - 1, p)
+    inv = inverse_range(p - 1, p).tolist()
     neg = -(1 << 60)
     best = [neg] * p
     best[0] = 0

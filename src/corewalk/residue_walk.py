@@ -27,15 +27,12 @@ import numpy as np
 
 from .abacus import BeadMultiplicities, size_from_bead_multiplicities
 from .errors import ClassificationError, VerificationError
-from .modarith import inverse_range, is_prime, isqrt, mod_inverse
+from .modarith import _FAST_P_LIMIT, inverse_range, is_prime, isqrt, label_blocks, mod_inverse
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
 S_CLASS = 1
 T_CLASS = 2
-
-# int64 products in the table pipeline stay below 2**62 as long as p < 2**31
-_FAST_P_LIMIT = 1 << 31
 
 DEFAULT_MAX_PARTS = 20_000_000
 
@@ -187,7 +184,7 @@ def classify_residues(p: int) -> ResidueClassification:
         raise ValueError(f"p must stay below {_FAST_P_LIMIT} for the table pipeline")
     k = isqrt(p)
     tables = _coprime_pair_tables(k)
-    inv_small = np.array(inverse_range(2 * k, p), dtype=np.int64)
+    inv_small = inverse_range(2 * k, p)
 
     diff = tables.r_ne - tables.s_ne
     base = inv_small[np.abs(diff)]
@@ -279,7 +276,7 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     _check(bool((m[1:] >= 0).all()), "nonnegative row counts", p)
     _check(int(d[1]) == 1 and int(d[p - 1]) == 2, "anchor gap counts", p)
 
-    size = size_from_bead_multiplicities(BeadMultiplicities(p, tuple(b[1:].tolist())))
+    size = size_from_bead_multiplicities(BeadMultiplicities(p, b[1:]))
     profile = LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
     violations = check_symmetry(profile) + check_sum_identity(profile)
     _check(not violations, "; ".join(violations), p)
@@ -324,14 +321,51 @@ def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PA
     return lam
 
 
+def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) -> int:
+    """First label i in 2..p-1 whose replay checks fail, or p if none does.
+
+    Label i takes tail = inv(-i) - y[i-1] edges back to p-1 and then
+    rest = m[i] - tail edges on.  If every earlier label passed, it starts at
+    (p-1 + rest_{i-1} (i-1)) mod p, so a block of labels is checked at once.
+    A label can pass only with |y[i-1]| < p and 0 <= m[i] < 2p, so clipping
+    y to [-p, p] and m to [-1, 2p] changes no verdict and keeps every
+    product below p^2 < 2^62.
+    """
+    prev_rest = 0  # the opening climb ended exactly at p-1
+    for lo, hi in label_blocks(2, p):
+        i = np.arange(lo, hi, dtype=np.int64)
+        inv_i = inv[lo:hi]
+        tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1], -p, p)
+        mi = np.clip(m[lo:hi], -1, 2 * p)
+        rest = mi - tail
+        prev = np.empty_like(rest)
+        prev[0] = prev_rest
+        prev[1:] = rest[:-1]
+        v = (p - 1 + prev % p * (i - 1)) % p
+        # v = 0 only after a failed label, so steps_to_zero = 0 never hides a failure
+        steps_to_zero = (p - v) * inv_i % p
+        bad = (tail < 0) | (mi < tail) | (tail >= steps_to_zero)
+        bad |= (v + tail % p * i) % p != p - 1
+        bad |= rest >= inv_i
+        if hi == p:
+            bad[-1] |= rest[-1] != p - 2
+        hit = np.flatnonzero(bad)
+        if hit.size:
+            return lo + int(hit[0])
+        prev_rest = int(rest[-1])
+    return p
+
+
 def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
     """Replay the walk encoded by profile.m, segment by segment.
 
     Checks that the walk never revisits 0, sits at p-1 after the opening
     climb and after every excursion, and ends at 1 after the descent.  The
-    replay is algebraic (O(p) with one inverse table), so it stays cheap at
-    large p; the visited vertex list is recorded only when the walk is short
-    enough.
+    labels after the climb are checked in int64 blocks of _BLOCK labels
+    (see _first_failing_label, with its overflow bound), and only the first
+    failing label is replayed in Python ints to name its violation, so the
+    replay is O(p) with one inverse table and O(_BLOCK) temporaries.  The
+    visited vertex list is recorded only when the walk is short enough.
     """
     p = profile.p
     m = profile.m
@@ -343,9 +377,7 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
 
     def advance(label: int, k: int) -> Optional[str]:
         v = state["v"]
-        if k < 0:
-            return f"negative segment length {k} at label {label}"
-        steps_to_zero = (p - v) * inv[label] % p or p
+        steps_to_zero = (p - v) * int(inv[label]) % p or p
         if k >= steps_to_zero:
             return f"walk hits 0 inside a label-{label} segment from {v}"
         if vertices is not None:
@@ -368,8 +400,17 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
     err = advance(1, m1 - (p - 1))
     if err:
         return done(err)
-    for i in range(2, p):
-        y_max = p - inv[i]  # inverse of -i
+    first = _first_failing_label(p, m, y, inv)
+    if first > 2:
+        # labels 2..first-1 pass: each takes its m[i] edges from where the last ended
+        if vertices is not None:
+            for i in range(2, first):
+                advance(i, int(m[i]))
+        i = first - 1
+        rest = int(m[i]) - (p - int(inv[i]) - int(y[i - 1]))
+        state["v"] = (p - 1 + rest * i) % p
+    for i in range(first, p):
+        y_max = p - int(inv[i])  # inverse of -i
         tail = y_max - int(y[i - 1])
         mi = int(m[i])
         if tail < 0:

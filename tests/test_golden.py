@@ -2,7 +2,8 @@
 
 Each file under tests/golden/ holds the stdout of one command, recorded once
 and never regenerated by a refactor: a change that alters any of them
-changes what corewalk prints.  Every command exits 0.
+changes what corewalk prints.  Every command exits 0.  All run at small p
+except one verify row just above 10^6.
 """
 
 from pathlib import Path
@@ -21,6 +22,8 @@ CASES = {
     "verify_3_100_csv": ["verify", "--min", "3", "--max", "100", "--format", "csv"],
     "verify_3_100_json": ["verify", "--min", "3", "--max", "100", "--format", "json"],
     "verify_17_200_checks": ["verify", "--min", "17", "--max", "200", "--checks", "c-bounds,symmetry,identity"],
+    # in the paper's stated range p > 10^6: the 35-digit size, c and every bound margin
+    "verify_1000003_json": ["verify", "--min", "1000003", "--max", "1000003", "--format", "json"],
     "oracle_walks_p7": ["oracle", "-p", "7", "--mode", "walks"],
     "oracle_longest_dp_p199": ["oracle", "-p", "199", "--mode", "longest-dp"],
     "oracle_partitions_p3": ["oracle", "-p", "3", "--mode", "partitions"],
