@@ -1,136 +1,23 @@
-"""Exact construction of maximal p-core p'-partitions via longest walks."""
+"""Exact construction of maximal p-core p'-partitions via longest walks.
+
+The package root holds the names of the README's Library section; every other
+name is imported from its module, e.g. ``from corewalk.bounds import bounds_report``.
+"""
 
 __version__ = "0.1.0"
 
-from .abacus import (
-    AbacusDisplay,
-    BeadMultiplicities,
-    abacus_to_partition,
-    bead_multiplicities,
-    is_top_aligned,
-    partition_to_abacus,
-    size_from_bead_multiplicities,
-)
-from .bounds import (
-    BoundsReport,
-    CBoundsVerdict,
-    TheoremVerdict,
-    TotientCheckResult,
-    bounds_report,
-    c_bounds_check,
-    failed_assertions,
-    mcdowell_construction_value,
-    mcdowell_upper,
-    mcspirit_ono_bound,
-    theorem_interval_check,
-    totient_partial_sum,
-    totient_sieve,
-    totient_sum_check,
-)
 from .errors import ClassificationError, UniquenessError, VerificationError
-from .modarith import egcd, inverse_range, is_prime, isqrt, mod_inverse, primes_in_range
-from .oracle import (
-    LongestWalkResult,
-    PartitionSearchResult,
-    WalkCandidate,
-    enumerate_valid_walks,
-    exhaustive_partition_search,
-    iter_partitions,
-    longest_walk_dp,
-    max_size_walk,
-    partition_counts,
-)
-from .partitions import (
-    Partition,
-    conjugate,
-    format_partition,
-    hook_lengths,
-    is_p_core,
-    is_p_regular,
-    parse_partition,
-)
-from .residue_walk import (
-    LambdaProfile,
-    MinimalPairRecord,
-    ResidueClassification,
-    S_CLASS,
-    StepBounds,
-    T_CLASS,
-    WalkValidation,
-    check_st_lemmas,
-    check_sum_identity,
-    check_symmetry,
-    classify_residues,
-    lambda_profile,
-    minimal_pair_direct,
-    partition_from_row_counts,
-    profile_to_partition,
-    step_bounds,
-    validate_walk,
-)
+from .partitions import Partition
+from .residue_walk import LambdaProfile, WalkValidation, lambda_profile, profile_to_partition, validate_walk
 
 __all__ = [
-    "AbacusDisplay",
-    "BeadMultiplicities",
-    "BoundsReport",
-    "CBoundsVerdict",
     "ClassificationError",
     "LambdaProfile",
-    "LongestWalkResult",
-    "MinimalPairRecord",
     "Partition",
-    "PartitionSearchResult",
-    "ResidueClassification",
-    "S_CLASS",
-    "StepBounds",
-    "T_CLASS",
-    "TheoremVerdict",
-    "TotientCheckResult",
     "UniquenessError",
     "VerificationError",
-    "WalkCandidate",
     "WalkValidation",
-    "abacus_to_partition",
-    "bead_multiplicities",
-    "bounds_report",
-    "c_bounds_check",
-    "check_st_lemmas",
-    "check_sum_identity",
-    "check_symmetry",
-    "classify_residues",
-    "conjugate",
-    "egcd",
-    "enumerate_valid_walks",
-    "exhaustive_partition_search",
-    "failed_assertions",
-    "format_partition",
-    "hook_lengths",
-    "inverse_range",
-    "is_p_core",
-    "is_p_regular",
-    "is_prime",
-    "is_top_aligned",
-    "isqrt",
-    "iter_partitions",
     "lambda_profile",
-    "longest_walk_dp",
-    "max_size_walk",
-    "mcdowell_construction_value",
-    "mcdowell_upper",
-    "mcspirit_ono_bound",
-    "minimal_pair_direct",
-    "mod_inverse",
-    "parse_partition",
-    "partition_counts",
-    "partition_from_row_counts",
-    "partition_to_abacus",
-    "primes_in_range",
     "profile_to_partition",
-    "size_from_bead_multiplicities",
-    "step_bounds",
-    "theorem_interval_check",
-    "totient_partial_sum",
-    "totient_sieve",
-    "totient_sum_check",
     "validate_walk",
 ]

@@ -1,14 +1,13 @@
 """Exact elementary number theory helpers.
 
-Everything here is integer-only: extended gcd, modular inverses (single and
-batched), integer square roots and deterministic primality testing.  No
-floating point is used anywhere, so results are exact at any magnitude.
+Everything here is integer-only: modular inverses (single and batched) and
+deterministic primality testing.  No floating point is used anywhere, so
+results are exact at any magnitude.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -25,44 +24,14 @@ _FAST_P_LIMIT = 1 << 31
 _BLOCK = 1 << 14
 
 
-class ExtendedGcdResult(NamedTuple):
-    g: int
-    u: int
-    v: int
-
-
-def egcd(a: int, b: int) -> ExtendedGcdResult:
-    """Extended Euclid: (g, u, v) with u*a + v*b = g = gcd(|a|, |b|).
-
-    The degenerate case egcd(0, 0) returns (0, 0, 1); any v would do, this
-    fixes one.
-    """
-    if a == 0 and b == 0:
-        return ExtendedGcdResult(0, 0, 1)
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return ExtendedGcdResult(old_r, old_u, old_v)
-
-
 def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a modulo a prime p, normalized to 1..p-1."""
+    """Inverse of a modulo p, normalized to 1..p-1."""
     if p < 2:
         raise ValueError(f"modulus must be at least 2, got {p}")
-    r = a % p
-    if r == 0:
-        raise ValueError(f"{a} is not invertible modulo {p}")
-    g, u, _ = egcd(r, p)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {p} (gcd {g})")
-    return u % p
+    try:
+        return pow(a, -1, p)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {p}") from None
 
 
 def label_blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
@@ -115,13 +84,6 @@ def inverse_range(n: int, p: int) -> np.ndarray:
     for lo, hi in label_blocks(half + 1, n + 1):
         inv[lo:hi] = p - inv[p - lo : p - hi : -1]
     return inv
-
-
-def isqrt(n: int) -> int:
-    """Floor of the integer square root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError(f"isqrt of negative number {n}")
-    return math.isqrt(n)
 
 
 # Strong-pseudoprime witnesses that make Miller-Rabin deterministic for all

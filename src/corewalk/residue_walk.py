@@ -19,6 +19,7 @@ oracle module; the closed forms are what make p ~ 10^6 cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -27,7 +28,7 @@ import numpy as np
 
 from .abacus import BeadMultiplicities, size_from_bead_multiplicities
 from .errors import ClassificationError, VerificationError
-from .modarith import _FAST_P_LIMIT, inverse_range, is_prime, isqrt, label_blocks, mod_inverse
+from .modarith import _FAST_P_LIMIT, inverse_range, is_prime, label_blocks, mod_inverse
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
@@ -182,7 +183,7 @@ def classify_residues(p: int) -> ResidueClassification:
     _validate_odd_prime(p)
     if p >= _FAST_P_LIMIT:
         raise ValueError(f"p must stay below {_FAST_P_LIMIT} for the table pipeline")
-    k = isqrt(p)
+    k = math.isqrt(p)
     tables = _coprime_pair_tables(k)
     inv_small = inverse_range(2 * k, p)
 
@@ -251,7 +252,7 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     m[1] = p-1 and m[p-1] = p-2 are the climb and the descent; in between,
     m[i] = p - y[i-1] - x[i] counts the label-i rows of the two adjacent
     excursions.  The profile is returned only if check_symmetry and
-    check_sum_identity find nothing and the pairs, rows and anchors are sane.
+    check_sum_identity find nothing and the pairs and row counts are sane.
     """
     _validate_odd_prime(p)
     cls_ = classification if classification is not None else classify_residues(p)
@@ -274,7 +275,6 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
 
     _check(bool((x[1 : p - 1] >= 1).all()) and bool((y[1 : p - 1] >= 1).all()), "pair positivity", p)
     _check(bool((m[1:] >= 0).all()), "nonnegative row counts", p)
-    _check(int(d[1]) == 1 and int(d[p - 1]) == 2, "anchor gap counts", p)
 
     size = size_from_bead_multiplicities(BeadMultiplicities(p, b[1:]))
     profile = LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
@@ -321,29 +321,30 @@ def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PA
     return lam
 
 
-def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) -> int:
-    """First label i in 2..p-1 whose replay checks fail, or p if none does.
+def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) -> tuple[int, int]:
+    """First label i in 1..p-1 whose replay checks fail and its start vertex, or (p, 1).
 
-    Label i takes tail = inv(-i) - y[i-1] edges back to p-1 and then
-    rest = m[i] - tail edges on.  If every earlier label passed, it starts at
-    (p-1 + rest_{i-1} (i-1)) mod p, so a block of labels is checked at once.
+    Label i takes tail = inv(-i) - y[i-1] edges to p-1 and then
+    rest = m[i] - tail edges on; the opening climb is label 1's tail of p-1
+    edges from vertex 0 (y[0] = 0).  If every earlier label passed, label
+    i > 1 starts at (p-1 + rest_{i-1} (i-1)) mod p, so a block of labels is
+    checked at once, and after label p-1 the walk sits at (p-1)^2 = 1 mod p.
     A label can pass only with |y[i-1]| < p and 0 <= m[i] < 2p, so clipping
     y to [-p, p] and m to [-1, 2p] changes no verdict and keeps every
     product below p^2 < 2^62.
     """
-    prev_rest = 0  # the opening climb ended exactly at p-1
-    for lo, hi in label_blocks(2, p):
+    start = 0
+    for lo, hi in label_blocks(1, p):
         i = np.arange(lo, hi, dtype=np.int64)
         inv_i = inv[lo:hi]
         tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1], -p, p)
         mi = np.clip(m[lo:hi], -1, 2 * p)
         rest = mi - tail
-        prev = np.empty_like(rest)
-        prev[0] = prev_rest
-        prev[1:] = rest[:-1]
-        v = (p - 1 + prev % p * (i - 1)) % p
-        # v = 0 only after a failed label, so steps_to_zero = 0 never hides a failure
-        steps_to_zero = (p - v) * inv_i % p
+        end = (p - 1 + rest % p * i) % p
+        v = np.empty_like(end)
+        v[0] = start
+        v[1:] = end[:-1]
+        steps_to_zero = ((p - v) * inv_i - 1) % p + 1
         bad = (tail < 0) | (mi < tail) | (tail >= steps_to_zero)
         bad |= (v + tail % p * i) % p != p - 1
         bad |= rest >= inv_i
@@ -351,86 +352,53 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
             bad[-1] |= rest[-1] != p - 2
         hit = np.flatnonzero(bad)
         if hit.size:
-            return lo + int(hit[0])
-        prev_rest = int(rest[-1])
-    return p
+            return lo + int(hit[0]), int(v[hit[0]])
+        start = int(end[-1])
+    return p, start
 
 
 def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
-    """Replay the walk encoded by profile.m, segment by segment.
+    """Replay the walk encoded by profile.m, label by label.
 
     Checks that the walk never revisits 0, sits at p-1 after the opening
-    climb and after every excursion, and ends at 1 after the descent.  The
-    labels after the climb are checked in int64 blocks of _BLOCK labels
-    (see _first_failing_label, with its overflow bound), and only the first
-    failing label is replayed in Python ints to name its violation, so the
-    replay is O(p) with one inverse table and O(_BLOCK) temporaries.  The
-    visited vertex list is recorded only when the walk is short enough.
+    climb and after every excursion, and ends at 1 after the descent.  Every
+    label is checked in int64 blocks of _BLOCK labels by _first_failing_label
+    (with its overflow bound), and only the first failing label is evaluated
+    again in Python ints, to name its violation.  The replay is O(p) with one
+    inverse table and O(_BLOCK) temporaries.  The visited vertices, up to
+    where the replay stops, are recorded only when the whole walk has fewer
+    than vertex_cap of them.
     """
-    p = profile.p
-    m = profile.m
-    y = profile.y
+    p, m, y = profile.p, profile.m, profile.y
     inv = inverse_range(p - 1, p)
-    total = int(m[1:].sum())
-    vertices: Optional[list[int]] = [0] if total + 1 <= vertex_cap else None
-    state = {"v": 0}
-
-    def advance(label: int, k: int) -> Optional[str]:
-        v = state["v"]
-        steps_to_zero = (p - v) * int(inv[label]) % p or p
-        if k >= steps_to_zero:
-            return f"walk hits 0 inside a label-{label} segment from {v}"
-        if vertices is not None:
-            vertices.extend((v + j * label) % p for j in range(1, k + 1))
-        state["v"] = (v + k * label) % p
-        return None
-
-    def done(violation: Optional[str]) -> WalkValidation:
-        final = state["v"] if violation is None else None
-        return WalkValidation(violation is None, violation, vertices, final)
-
-    m1 = int(m[1])
-    if m1 < p - 1:
-        return done(f"opening climb needs {p - 1} label-1 edges, profile has {m1}")
-    err = advance(1, p - 1)
-    if err:
-        return done(err)
-    if state["v"] != p - 1:
-        return done("opening climb does not end at p-1")
-    err = advance(1, m1 - (p - 1))
-    if err:
-        return done(err)
-    first = _first_failing_label(p, m, y, inv)
-    if first > 2:
-        # labels 2..first-1 pass: each takes its m[i] edges from where the last ended
-        if vertices is not None:
-            for i in range(2, first):
-                advance(i, int(m[i]))
-        i = first - 1
-        rest = int(m[i]) - (p - int(inv[i]) - int(y[i - 1]))
-        state["v"] = (p - 1 + rest * i) % p
-    for i in range(first, p):
-        y_max = p - int(inv[i])  # inverse of -i
-        tail = y_max - int(y[i - 1])
+    i, v = _first_failing_label(p, m, y, inv)
+    violation: Optional[str] = None
+    walked = 0  # edges of label i the replay takes before it stops
+    if i < p:
         mi = int(m[i])
+        tail = p - int(inv[i]) - int(y[i - 1])
         if tail < 0:
-            return done(f"stored pair exceeds its cap before label {i}")
-        if mi < tail:
-            return done(f"label-{i} block is shorter than the return to p-1")
-        err = advance(i, tail)
-        if err:
-            return done(err)
-        if state["v"] != p - 1:
-            return done(f"excursion over labels ({i - 1},{i}) does not return to p-1")
-        rest = mi - tail
-        if i == p - 1 and rest != p - 2:
-            return done(f"final descent needs {p - 2} label-{p - 1} edges, got {rest}")
-        err = advance(i, rest)
-        if err:
-            return done(err)
-    if state["v"] != 1:
-        return done(f"walk ends at {state['v']}, expected 1")
-    return done(None)
+            violation = f"stored pair exceeds its cap before label {i}"
+        elif mi < tail and i == 1:
+            violation = f"opening climb needs {p - 1} label-1 edges, profile has {mi}"
+        elif mi < tail:
+            violation = f"label-{i} block is shorter than the return to p-1"
+        elif tail >= ((p - v) * int(inv[i]) - 1) % p + 1:
+            violation = f"walk hits 0 inside a label-{i} segment from {v}"
+        else:
+            walked = tail
+            if (v + tail * i) % p != p - 1:
+                violation = f"excursion over labels ({i - 1},{i}) does not return to p-1"
+            elif i == p - 1 and mi - tail != p - 2:
+                violation = f"final descent needs {p - 2} label-{p - 1} edges, got {mi - tail}"
+            else:
+                violation = f"walk hits 0 inside a label-{i} segment from {p - 1}"
+    vertices: Optional[list[int]] = None
+    if int(m[1:].sum()) + 1 <= vertex_cap:
+        # fewer than vertex_cap steps below p < 2^31: the sum is exact for vertex_cap < 2^32
+        steps = np.repeat(np.arange(1, i + 1, dtype=np.int64), np.append(m[1:i], walked))
+        vertices = [0] + (np.cumsum(steps) % p).tolist()
+    return WalkValidation(violation is None, violation, vertices, v if violation is None else None)
 
 
 def check_symmetry(profile: LambdaProfile) -> list[str]:

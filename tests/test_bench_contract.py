@@ -1,9 +1,10 @@
 """The names the benchmark's tracer patches must keep resolving.
 
 corebench/tracing.py wraps functions at the module attributes listed in its
-WRAP_POINTS and reads the pair-table cache counters; its self-test corrupts
-profiles with dataclasses.replace.  The file is loaded by path and only
-read, so nothing in the benchmark runs here.
+WRAP_POINTS, reads the pair-table cache counters and counts the arrays of
+each profile an op returns; its checks read profile attributes and its
+self-test corrupts profiles with dataclasses.replace.  tracing.py is loaded
+by path and nothing else in the benchmark runs here.
 """
 
 import dataclasses
@@ -19,14 +20,14 @@ from corewalk.residue_walk import lambda_profile
 TRACING = Path(__file__).resolve().parents[1] / "corebench" / "tracing.py"
 
 
-def _wrap_points():
+def _tracing():
     spec = importlib.util.spec_from_file_location("corebench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAP_POINTS
+    return module
 
 
-@pytest.mark.parametrize("module_name, attr, span", _wrap_points())
+@pytest.mark.parametrize("module_name, attr, span", _tracing().WRAP_POINTS)
 def test_wrap_point_resolves(module_name, attr, span):
     module = importlib.import_module(f"corewalk.{module_name}")
     assert callable(getattr(module, attr)), span
@@ -41,3 +42,22 @@ def test_profile_replace_does_not_validate():
     m = prof.m.copy()
     m[3] += 1
     assert dataclasses.replace(prof, m=m).m[3] == prof.m[3] + 1
+
+
+def test_tracer_counts_the_profile_arrays():
+    # Tracer.count_profile reads m, b, d, c_prefix, x and y
+    prof = lambda_profile(11)
+    tracer = _tracing().Tracer({"residue_walk": residue_walk})
+    tracer.count_profile(prof)
+    assert tracer.walk_edges == 71
+    assert tracer.profile_bytes == 6 * prof.m.nbytes
+
+
+def test_profile_keeps_the_attributes_the_checks_read():
+    # checks.py reads p, m, x, y and size; selftest.py replaces m, x and y
+    prof = lambda_profile(11)
+    assert (prof.p, prof.size) == (11, 29773)
+    for name in ("m", "x", "y"):
+        assert getattr(prof, name).shape == (11,)
+    init_fields = {field.name for field in dataclasses.fields(prof) if field.init}
+    assert {"m", "x", "y"} <= init_fields

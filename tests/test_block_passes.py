@@ -167,11 +167,10 @@ def test_block_replay_matches_scalar_replay_at_every_label(p):
 @pytest.mark.parametrize("block", [1, 7, 64])
 @pytest.mark.parametrize("p", [3, 5, 7, 61, 409, 599])
 def test_block_pass_flags_no_label_of_an_honest_walk(p, block):
-    # a false alarm would only hand the rest of the replay to the scalar loop
     prof = _profile(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modarith, "_BLOCK", block)
-        assert _first_failing_label(p, prof.m, prof.y, inverse_range(p - 1, p)) == p
+        assert _first_failing_label(p, prof.m, prof.y, inverse_range(p - 1, p)) == (p, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,26 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corewalk.modarith import egcd, inverse_range, is_prime, isqrt, mod_inverse, primes_in_range
+from corewalk.modarith import inverse_range, is_prime, mod_inverse, primes_in_range
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 101, 257, 1009]
-
-
-def test_egcd_frozen_examples():
-    assert egcd(6, 9) == (3, -1, 1)
-    assert egcd(0, 0) == (0, 0, 1)
-    assert egcd(1, 0) == (1, 1, 0)
-    assert egcd(-6, 9) == (3, 1, 1)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_egcd_bezout_identity(a, b):
-    g, u, v = egcd(a, b)
-    assert g == math.gcd(a, b)
-    assert u * a + v * b == g
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(-10**6, 10**6))
@@ -67,17 +51,6 @@ def test_inverse_range_detects_composite_modulus():
 def test_inverse_range_rejects_bad_length():
     with pytest.raises(ValueError):
         inverse_range(7, 7)
-
-
-@given(st.integers(0, 10**18))
-def test_isqrt_floor_property(n):
-    r = isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
 
 
 def test_is_prime_small_values_match_sieve():

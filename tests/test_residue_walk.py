@@ -254,6 +254,46 @@ def test_sum_identity_check_catches_broken_profile():
     assert any("bead total" in v for v in check_sum_identity(bad))
 
 
+def _shifted(obj, field: str, index: int, delta: int):
+    arr = getattr(obj, field).copy()
+    arr[index] += delta
+    return dataclasses.replace(obj, **{field: arr})
+
+
+def test_symmetry_check_catches_broken_pair_mirror():
+    prof = lambda_profile(11)
+    assert check_symmetry(_shifted(prof, "x", 1, 1)) == ["pair mirror symmetry fails at i=1"]
+
+
+@pytest.mark.parametrize(
+    "index, expected",
+    [(10, ["gap total does not equal c + 1"]), (1, ["gap prefix symmetry fails"])],
+)
+def test_sum_identity_check_catches_broken_gap_prefix(index, expected):
+    prof = lambda_profile(11)
+    assert check_sum_identity(_shifted(prof, "c_prefix", index, 1)) == expected
+
+
+@pytest.mark.parametrize(
+    "kind, new_sum, expected_viol, expected_notes",
+    [
+        (S_CLASS, lambda rs: 1, ["fraction-form lower bound fails"], []),
+        (S_CLASS, lambda rs: 101, ["fraction-form upper bound fails"], []),
+        (T_CLASS, lambda rs: rs + 1, ["sum-form bound fails"], ["sum-form equality missed"]),
+        (T_CLASS, lambda rs: rs - 1, [], ["sum-form equality missed"]),
+    ],
+)
+def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, expected_notes):
+    cls = classify_residues(101)
+    prof = lambda_profile(101, cls)
+    i = int(np.flatnonzero(cls.kind == kind)[0])
+    x, y = prof.x.copy(), prof.y.copy()
+    x[i], y[i] = new_sum(int(cls.wr[i] + cls.ws[i])), 0  # the pair sum x + y is now new_sum
+    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    assert viol == [f"{text} at i={i}" for text in expected_viol]
+    assert notes == [f"{text} at i={i}" for text in expected_notes]
+
+
 def test_sum_identity_bead_total_is_exact_near_int64_limit():
     prof = lambda_profile(11)
     p = prof.p
