@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .bounds import (
     totient_sum_check,
 )
 from .errors import VerificationError
-from .modarith import is_prime, primes_in_range
+from .modarith import primes_in_range, require_odd_prime
 from .oracle import (
     MAX_DP_PRIME,
     MAX_ENUM_PRIME,
@@ -81,7 +82,9 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 def _run_ordered(func: Callable, items: Sequence, workers: int) -> list:
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    # more processes than items or cores buy nothing; the map keeps item order
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(item) for item in items]
     chunk = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -92,12 +95,6 @@ def _bool_token(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _require_odd_prime(p: int) -> int:
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    return p
-
-
 # one profile
 
 
@@ -105,7 +102,7 @@ MAX_PARTS_PRIME = 300
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
-    p = _require_odd_prime(args.p)
+    p = require_odd_prime(args.p)
     emit = args.emit
     if "parts" in emit and p > MAX_PARTS_PRIME:
         raise ValueError(f"explicit parts are limited to p <= {MAX_PARTS_PRIME}, got {p}")
@@ -263,7 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    p = _require_odd_prime(args.p)
+    p = require_odd_prime(args.p)
     lines = [f"mode: {args.mode}", f"p: {p}"]
     if args.mode == "walks":
         if p > MAX_ENUM_PRIME:

@@ -116,6 +116,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> int:
+    """p itself when it is an odd prime; ValueError otherwise."""
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    return p
+
+
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, in increasing order."""
     if hi < lo:

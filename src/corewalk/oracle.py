@@ -3,8 +3,8 @@
 Three independent routes: exhaustive enumeration of all valid walks (tiny
 p), a longest-walk dynamic program with exact tie counting (moderate p),
 and exhaustive search over all p-core p'-partitions up to a size cap.  None
-of them shares code with the closed-form pipeline beyond modular inverses,
-so a bug on either side shows up as a loud disagreement.
+of them shares code with the closed-form pipeline beyond modarith, so a
+bug on either side shows up as a loud disagreement.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import UniquenessError, VerificationError
-from .modarith import inverse_range, is_prime
+from .modarith import inverse_range, is_prime, require_odd_prime
 from .partitions import Partition, is_p_core, is_p_regular
 from .residue_walk import lambda_profile
 
@@ -131,8 +131,7 @@ def longest_walk_dp(p: int, compare_profile: bool = True) -> LongestWalkResult:
     compare_profile set, the optimal length is checked against the
     closed-form profile.
     """
-    if not is_prime(p) or p < 3:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if p > MAX_DP_PRIME:
         raise ValueError(f"dynamic program is capped at p <= {MAX_DP_PRIME}, got {p}")
     inv = inverse_range(p - 1, p).tolist()

@@ -28,7 +28,7 @@ import numpy as np
 
 from .abacus import BeadMultiplicities, size_from_bead_multiplicities
 from .errors import ClassificationError, VerificationError
-from .modarith import _FAST_P_LIMIT, inverse_range, is_prime, label_blocks, mod_inverse
+from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, mod_inverse, require_odd_prime
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
@@ -80,20 +80,13 @@ class WalkValidation:
     final_residue: Optional[int]
 
 
-def _validate_odd_prime(p: int) -> None:
-    if p == 2:
-        raise ValueError("p = 2 is not supported; the construction needs an odd prime")
-    if p < 3 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-
-
 def step_bounds(i: int, p: int) -> StepBounds:
     """Caps for the (i, i+1) excursion: x_max = inv(i), y_max = inv(-(i+1)).
 
     x_max counts the steps from p-1 to 0 along label i, y_max the steps from
     0 to p-1 along label i+1.
     """
-    _validate_odd_prime(p)
+    require_odd_prime(p)
     if not 1 <= i <= p - 2:
         raise ValueError(f"label must lie in 1..{p - 2}, got {i}")
     return StepBounds(i, mod_inverse(i, p), mod_inverse(-(i + 1), p))
@@ -126,10 +119,6 @@ def minimal_pair_direct(i: int, p: int) -> MinimalPairRecord:
 
 
 class _PairTables(NamedTuple):
-    r_all: np.ndarray
-    s_all: np.ndarray
-    r_ne: np.ndarray
-    s_ne: np.ndarray
     mn: np.ndarray
     mx: np.ndarray
     inv_mn_mod_mx: np.ndarray
@@ -137,22 +126,25 @@ class _PairTables(NamedTuple):
 
 @lru_cache(maxsize=6)
 def _coprime_pair_tables(k: int) -> _PairTables:
-    """Ordered coprime pairs (r, s) with 1 <= r, s <= k, plus inverse data."""
-    vals = np.arange(1, k + 1, dtype=np.int64)
-    r_idx, s_idx = np.nonzero(np.gcd.outer(vals, vals) == 1)
-    r_all = (r_idx + 1).astype(np.int64)
-    s_all = (s_idx + 1).astype(np.int64)
-    ne = r_all != s_all
-    r_ne = r_all[ne]
-    s_ne = s_all[ne]
-    mn = np.minimum(r_ne, s_ne)
-    mx = np.maximum(r_ne, s_ne)
-    inv_mn_mod_mx = np.fromiter(
-        (pow(a, -1, b) for a, b in zip(mn.tolist(), mx.tolist())),
-        dtype=np.int64,
-        count=len(mn),
-    )
-    return _PairTables(r_all, s_all, r_ne, s_ne, mn, mx, inv_mn_mod_mx)
+    """Coprime pairs mn < mx <= k with inv(mn) mod mx, from the Stern-Brocot tree.
+
+    Each fraction mn/mx in (0, 1) is the mediant of one pair of Farey
+    neighbours a1/b1 < a2/b2, and a2 b1 - a1 b2 = 1 gives mn b1 - a1 mx = 1:
+    inv(mn) mod mx is the left neighbour's denominator b1 < mx.  The walk goes
+    level by level from (0/1, 1/1), with no gcd and no product, and drops an
+    interval once its mediant's denominator (less than its descendants') exceeds k.
+    """
+    a1, b1, a2, b2 = (np.array([v], dtype=np.int64) for v in (0, 1, 1, 1))
+    levels = []
+    while a1.size:
+        keep = b1 + b2 <= k
+        a1, b1, a2, b2 = a1[keep], b1[keep], a2[keep], b2[keep]
+        a, b = a1 + a2, b1 + b2
+        levels.append((a, b, b1))
+        # the next level: (a1/b1, a/b) and (a/b, a2/b2) for every kept interval
+        a1, b1 = np.concatenate((a1, a)), np.concatenate((b1, b))
+        a2, b2 = np.concatenate((a, a2)), np.concatenate((b, b2))
+    return _PairTables(*(np.concatenate(column) for column in zip(*levels)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,18 +172,21 @@ def classify_residues(p: int) -> ResidueClassification:
     same kind, and every residue receives at least one.  Fraction-form
     witnesses take priority when both kinds exist.
     """
-    _validate_odd_prime(p)
+    require_odd_prime(p)
     if p >= _FAST_P_LIMIT:
         raise ValueError(f"p must stay below {_FAST_P_LIMIT} for the table pipeline")
     k = math.isqrt(p)
-    tables = _coprime_pair_tables(k)
+    mn, mx, inv_mn_mod_mx = _coprime_pair_tables(k)
     inv_small = inverse_range(2 * k, p)
 
-    diff = tables.r_ne - tables.s_ne
-    base = inv_small[np.abs(diff)]
-    inv_diff = np.where(diff > 0, base, p - base)
-    i_s = (tables.s_ne * inv_diff) % p
-    i_t = ((p - tables.s_all) * inv_small[tables.r_all + tables.s_all]) % p
+    # witnesses (r, s): both orientations (mx, mn) and (mn, mx) of every pair,
+    # then (1, 1), which only the sum form has
+    r = np.concatenate((mx, mn, [1]))
+    s = np.concatenate((mn, mx, [1]))
+    inv_diff = inv_small[mx - mn]  # inv(r - s) for (mx, mn); p minus it for (mn, mx)
+    inv_sum = inv_small[mn + mx]
+    i_s = s[:-1] * np.concatenate((inv_diff, p - inv_diff)) % p
+    i_t = (p - s) * np.concatenate((inv_sum, inv_sum, inv_small[2:3])) % p
 
     for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
         if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
@@ -212,27 +207,24 @@ def classify_residues(p: int) -> ResidueClassification:
     x = np.zeros(p, dtype=np.int64)
     y = np.zeros(p, dtype=np.int64)
     kind[i_t] = T_CLASS
-    wr[i_t] = tables.r_all
-    ws[i_t] = tables.s_all
-    x[i_t] = tables.r_all
-    y[i_t] = tables.s_all
+    wr[i_t] = x[i_t] = r  # a sum-form pair is its witness
+    ws[i_t] = y[i_t] = s
 
     # fraction-form pairs solve s*x + r*y = p; the split point a = mn*w is
-    # the unique multiple of mn in (0, r*s) congruent to p modulo mx
-    mn, mx = tables.mn, tables.mx
-    w = (p % mx) * tables.inv_mn_mod_mx % mx
+    # the unique multiple of mn in (0, r*s) congruent to p modulo mx, so
+    # (x, y) = (w, other) for (r, s) = (mx, mn) and (other, w) for (mn, mx)
+    w = (p % mx) * inv_mn_mod_mx % mx
     if w.size and int(w.min()) < 1:
         raise ClassificationError(f"degenerate split point at p={p}")
     rem = p - mn * w
     if np.any(rem % mx):
         raise ClassificationError(f"split point misses divisibility at p={p}")
     other = rem // mx
-    s_gt = tables.s_ne > tables.r_ne
     kind[i_s] = S_CLASS
-    wr[i_s] = tables.r_ne
-    ws[i_s] = tables.s_ne
-    x[i_s] = np.where(s_gt, other, w)
-    y[i_s] = np.where(s_gt, w, other)
+    wr[i_s] = r[:-1]
+    ws[i_s] = s[:-1]
+    x[i_s] = np.concatenate((w, other))
+    y[i_s] = np.concatenate((other, w))
 
     idx = np.arange(1, p - 1, dtype=np.int64)
     bad = np.flatnonzero((idx * x[1 : p - 1] + (idx + 1) * y[1 : p - 1]) % p)
@@ -254,7 +246,7 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     excursions.  The profile is returned only if check_symmetry and
     check_sum_identity find nothing and the pairs and row counts are sane.
     """
-    _validate_odd_prime(p)
+    require_odd_prime(p)
     cls_ = classification if classification is not None else classify_residues(p)
     if cls_.p != p:
         raise ValueError(f"classification is for p={cls_.p}, not p={p}")
@@ -309,13 +301,18 @@ def partition_from_row_counts(p: int, row_counts) -> Partition:
 
 def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PARTS) -> Partition:
     """Materialize the explicit partition; refuses absurdly long part lists."""
-    p = profile.p
-    m = profile.m
-    widths = p - np.arange(p, dtype=np.int64)
-    total = int((widths[1:] * m[1:]).sum())
+    p, rows = profile.p, profile.m[1:]
+    if not 0 <= max_parts < 2**32 or int(rows.min()) < 0:
+        raise ValueError(f"need nonnegative row counts and 0 <= max_parts < 2^32, got max_parts={max_parts}")
+    # a row of i gaps holds p - i >= 1 parts, so there are at least max(m) and
+    # sum(m) parts.  Below 2^32 each, p < 2^31 rows sum exactly in int64, and
+    # once sum(m) <= max_parts the part count is below p * 2^32 < 2^63
+    if int(rows.max()) > max_parts or int(rows.sum()) > max_parts:
+        raise ValueError(f"profile has more parts than the cap of {max_parts}")
+    total = int(((p - np.arange(1, p, dtype=np.int64)) * rows).sum())
     if total > max_parts:
         raise ValueError(f"profile has {total} parts, above the cap of {max_parts}")
-    lam = partition_from_row_counts(p, m[1:].tolist())
+    lam = partition_from_row_counts(p, rows.tolist())
     if lam.size != profile.size:
         raise VerificationError(f"materialized size {lam.size} != profile size {profile.size} at p={p}")
     return lam

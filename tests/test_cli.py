@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,34 @@ def test_workers_guard(capsys):
     code, _, err = run(capsys, "verify", "--min", "3", "--max", "5", "--workers", "0")
     assert code == 2
     assert err == "error: --workers must be at least 1\n"
+
+
+def test_worker_pool_is_capped_by_items_and_cores(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    code, out, _ = run(capsys, "verify", "--min", "3", "--max", "100", "--workers", "5000")
+    assert (code, sizes) == (0, [8])
+    assert out.encode() == (Path(__file__).parent / "golden" / "verify_3_100_text.txt").read_bytes()
+    assert run(capsys, "table", "--min", "3", "--max", "7", "--workers", "5000")[0] == 0
+    assert sizes == [8, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(capsys, "table", "--min", "3", "--max", "7", "--workers", "5000")[0] == 0
+    assert sizes == [8, 3]  # an unknown core count is taken as one: no pool
 
 
 def test_out_of_memory_exits_cleanly(capsys, monkeypatch):

@@ -3,7 +3,7 @@
 Each file under tests/golden/ holds the stdout of one command, recorded once
 and never regenerated by a refactor: a change that alters any of them
 changes what corewalk prints.  Every command exits 0.  All run at small p
-except one verify row just above 10^6.
+except one verify row just above 10^6 and one table row above 4*10^6.
 """
 
 from pathlib import Path
@@ -29,6 +29,8 @@ CASES = {
     "oracle_partitions_p3": ["oracle", "-p", "3", "--mode", "partitions"],
     "table_3_100_csv": ["table", "--min", "3", "--max", "100"],
     "table_3_100_json": ["table", "--min", "3", "--max", "100", "--format", "json"],
+    # isqrt(p) = 2000: the only case whose coprime pair table goes past k = 1000
+    "table_4000037_csv": ["table", "--min", "4000037", "--max", "4000037"],
     "totient_check_1000": ["totient-check", "--n-max", "1000"],
 }
 

@@ -1,10 +1,13 @@
 import dataclasses
+import tracemalloc
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corewalk import residue_walk
 from corewalk.errors import VerificationError
 from corewalk.modarith import mod_inverse, primes_in_range
 from corewalk.partitions import is_p_core, is_p_regular
@@ -12,6 +15,7 @@ from corewalk.residue_walk import (
     LambdaProfile,
     S_CLASS,
     T_CLASS,
+    _coprime_pair_tables,
     check_st_lemmas,
     check_sum_identity,
     check_symmetry,
@@ -49,6 +53,33 @@ def test_classification_p11():
     ]
     assert cls.x[1:10].tolist() == [1, 1, 1, 3, 1, 2, 2, 3, 5]
     assert cls.y[1:10].tolist() == [5, 3, 2, 2, 1, 3, 1, 1, 1]
+
+
+def test_pair_tables_hold_each_coprime_pair_once():
+    for k in range(1, 201):
+        mn, mx, _ = _coprime_pair_tables(k)
+        pairs = sorted(zip(mn.tolist(), mx.tolist()))
+        assert pairs == [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1) if gcd(a, b) == 1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 10, 200, 1000])
+def test_pair_tables_invert_the_smaller_entry(k):
+    mn, mx, inv = _coprime_pair_tables(k)
+    assert bool((mx >= 2).all())
+    assert bool((mn * inv % mx == 1).all())
+    assert bool(((1 <= inv) & (inv < mx)).all())  # so inv is pow(mn, -1, mx)
+
+
+def test_pair_tables_memory_is_linear_in_pairs():
+    _coprime_pair_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        mn, _, _ = _coprime_pair_tables(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mn.size == 304_191
+    assert peak < 100 * mn.size
 
 
 def test_classification_rejects_bad_p():
@@ -171,6 +202,23 @@ def test_profile_to_partition_frozen():
     assert profile_to_partition(lambda_profile(3)).parts == (4, 2, 2, 1, 1)
     with pytest.raises(ValueError):
         profile_to_partition(lambda_profile(101), max_parts=100)
+
+
+def test_profile_to_partition_counts_parts_exactly(monkeypatch):
+    def build(p, row_counts):
+        raise AssertionError("a refused profile reached the part builder")
+
+    prof = lambda_profile(11)
+    monkeypatch.setattr(residue_walk, "partition_from_row_counts", build)
+    m = prof.m.copy()
+    m[1] = 2**60  # 10 * 2^60 parts: an int64 sum of the weighted rows wraps below the cap
+    with pytest.raises(ValueError, match="parts"):
+        profile_to_partition(dataclasses.replace(prof, m=m))
+    m[1] = -1
+    with pytest.raises(ValueError, match="nonnegative"):
+        profile_to_partition(dataclasses.replace(prof, m=m))
+    with pytest.raises(ValueError, match="max_parts"):
+        profile_to_partition(prof, max_parts=2**32)
 
 
 def test_partition_from_row_counts():
