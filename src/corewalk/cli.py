@@ -276,7 +276,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     elif args.mode == "longest-dp":
         if p > MAX_DP_PRIME:
             raise ValueError(f"the longest-walk dynamic program is capped at p <= {MAX_DP_PRIME}")
-        result = longest_walk_dp(p)
+        result = longest_walk_dp(p, compare_profile=False)  # m is compared whole below
         profile = lambda_profile(p)
         if result.m != tuple(profile.m[1:].tolist()):
             raise VerificationError(f"longest walk row counts differ from the profile at p={p}")

@@ -7,6 +7,7 @@ results are exact at any magnitude.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -16,8 +17,10 @@ import numpy as np
 # size reduction splits each runner count b_i <= sum(m) < p^2 < 2^62 into
 # 16-bit limbs; a limb product is below 2^32, so a limb sum over fewer than
 # 2^31 terms (one block of _BLOCK runners) stays below 2^63.  Counts outside
-# 0 <= b_i < 2^63 are refused with ValueError (BeadMultiplicities).
+# 0 <= b_i < 2^63 are refused with ValueError (BeadMultiplicities).  Witness
+# entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares do not.
 _FAST_P_LIMIT = 1 << 31
+assert math.isqrt(_FAST_P_LIMIT - 1) < 1 << 16
 
 # Vectorized passes take this many labels at a time, so their temporaries
 # stay O(_BLOCK) whatever p is.

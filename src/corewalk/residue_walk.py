@@ -124,7 +124,7 @@ class _PairTables(NamedTuple):
     inv_mn_mod_mx: np.ndarray
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)  # sweeps visit isqrt(p) in ascending order
 def _coprime_pair_tables(k: int) -> _PairTables:
     """Coprime pairs mn < mx <= k with inv(mn) mod mx, from the Stern-Brocot tree.
 
@@ -151,8 +151,9 @@ def _coprime_pair_tables(k: int) -> _PairTables:
 class ResidueClassification:
     """Witness classification of residues 1..p-2, as arrays indexed by i.
 
-    kind[i] is S_CLASS or T_CLASS, (wr[i], ws[i]) is the witness (r, s) and
-    (x[i], y[i]) the minimal pair; index 0 and p-1 hold zeros.
+    kind[i] is S_CLASS or T_CLASS (uint8), (wr[i], ws[i]) is the witness
+    (r, s) (uint16: r, s <= isqrt(p), see _FAST_P_LIMIT) and (x[i], y[i])
+    the minimal pair (int64); index 0 and p-1 hold zeros.
     """
 
     p: int
@@ -171,6 +172,13 @@ def classify_residues(p: int) -> ResidueClassification:
     candidates stay inside 1..p-2, no residue receives two witnesses of the
     same kind, and every residue receives at least one.  Fraction-form
     witnesses take priority when both kinds exist.
+
+    The duplicate and coverage checks read uint8 class marks: after the
+    sum-form marks, the marked count equals the sum-form witness count
+    exactly when no residue has two of them; the fraction-form marks then
+    overwrite, and their count equals the fraction-form witness count
+    exactly when no residue has two of those; a residue is covered when its
+    mark is nonzero.  A bincount runs only to name the residue of a failure.
     """
     require_odd_prime(p)
     if p >= _FAST_P_LIMIT:
@@ -187,28 +195,29 @@ def classify_residues(p: int) -> ResidueClassification:
     inv_sum = inv_small[mn + mx]
     i_s = s[:-1] * np.concatenate((inv_diff, p - inv_diff)) % p
     i_t = (p - s) * np.concatenate((inv_sum, inv_sum, inv_small[2:3])) % p
+    del inv_diff, inv_sum
 
     for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
         if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
             raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
-    cnt_s = np.bincount(i_s, minlength=p)
-    cnt_t = np.bincount(i_t, minlength=p)
-    if int(cnt_s.max()) > 1:
-        raise ClassificationError(f"duplicate fraction-form witness at i={int(cnt_s.argmax())}, p={p}")
-    if int(cnt_t.max()) > 1:
-        raise ClassificationError(f"duplicate sum-form witness at i={int(cnt_t.argmax())}, p={p}")
-    uncovered = np.flatnonzero(cnt_s[1 : p - 1] + cnt_t[1 : p - 1] == 0)
-    if uncovered.size:
-        raise ClassificationError(f"no witness at i={int(uncovered[0]) + 1}, p={p}")
-
     kind = np.zeros(p, dtype=np.uint8)
-    wr = np.zeros(p, dtype=np.int64)
-    ws = np.zeros(p, dtype=np.int64)
+    kind[i_t] = T_CLASS
+    sum_dup = np.count_nonzero(kind) != i_t.size
+    kind[i_s] = S_CLASS
+    fraction_dup = np.count_nonzero(kind == S_CLASS) != i_s.size
+    for dup, name, idx in ((fraction_dup, "fraction-form", i_s), (sum_dup, "sum-form", i_t)):
+        if dup:
+            raise ClassificationError(f"duplicate {name} witness at i={int(np.bincount(idx).argmax())}, p={p}")
+    if not kind[1 : p - 1].all():
+        raise ClassificationError(f"no witness at i={int(np.argmin(kind[1 : p - 1])) + 1}, p={p}")
+
+    wr = np.zeros(p, dtype=np.uint16)
+    ws = np.zeros(p, dtype=np.uint16)
     x = np.zeros(p, dtype=np.int64)
     y = np.zeros(p, dtype=np.int64)
-    kind[i_t] = T_CLASS
     wr[i_t] = x[i_t] = r  # a sum-form pair is its witness
     ws[i_t] = y[i_t] = s
+    del i_t
 
     # fraction-form pairs solve s*x + r*y = p; the split point a = mn*w is
     # the unique multiple of mn in (0, r*s) congruent to p modulo mx, so
@@ -220,16 +229,19 @@ def classify_residues(p: int) -> ResidueClassification:
     if np.any(rem % mx):
         raise ClassificationError(f"split point misses divisibility at p={p}")
     other = rem // mx
-    kind[i_s] = S_CLASS
+    del rem
     wr[i_s] = r[:-1]
     ws[i_s] = s[:-1]
+    del r, s
     x[i_s] = np.concatenate((w, other))
     y[i_s] = np.concatenate((other, w))
+    del i_s, w, other
 
-    idx = np.arange(1, p - 1, dtype=np.int64)
-    bad = np.flatnonzero((idx * x[1 : p - 1] + (idx + 1) * y[1 : p - 1]) % p)
-    if bad.size:
-        raise ClassificationError(f"pair fails its congruence at i={int(bad[0]) + 1}, p={p}")
+    for lo, hi in label_blocks(1, p - 1):
+        i = np.arange(lo, hi, dtype=np.int64)
+        bad = np.flatnonzero((i * x[lo:hi] + (i + 1) * y[lo:hi]) % p)
+        if bad.size:
+            raise ClassificationError(f"pair fails its congruence at i={lo + int(bad[0])}, p={p}")
     return ResidueClassification(p, kind, wr, ws, x, y)
 
 
@@ -255,18 +267,19 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     m = np.zeros(p, dtype=np.int64)
     m[1] = p - 1
     m[p - 1] = p - 2
-    if p >= 5:
-        m[2 : p - 1] = p - y[1 : p - 2] - x[2 : p - 1]
+    if p >= 5:  # in place, with no p-length temporary
+        np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
+        np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
     d = np.zeros(p, dtype=np.int64)
-    d[1:] = p - m[1:]
+    np.subtract(p, m[1:], out=d[1:])
     c_prefix = np.zeros(p, dtype=np.int64)
     np.cumsum(d[1:], out=c_prefix[1:])
     c = int(np.sum(x[1 : p - 1]) + np.sum(y[1 : p - 1]))
     b = np.zeros(p, dtype=np.int64)
     np.cumsum(m[1:], out=b[1:])
 
-    _check(bool((x[1 : p - 1] >= 1).all()) and bool((y[1 : p - 1] >= 1).all()), "pair positivity", p)
-    _check(bool((m[1:] >= 0).all()), "nonnegative row counts", p)
+    _check(int(x[1 : p - 1].min()) >= 1 and int(y[1 : p - 1].min()) >= 1, "pair positivity", p)
+    _check(int(m[1:].min()) >= 0, "nonnegative row counts", p)
 
     size = size_from_bead_multiplicities(BeadMultiplicities(p, b[1:]))
     profile = LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
@@ -413,19 +426,22 @@ def check_symmetry(profile: LambdaProfile) -> list[str]:
 
 def check_sum_identity(profile: LambdaProfile) -> list[str]:
     """Exact bead total: sum b_i = p^2 (p-1)/2 - p c / 2 - 1, checked doubled."""
-    p, c = profile.p, profile.c
+    p, b, c_prefix, c = profile.p, profile.b, profile.c_prefix, profile.c
     out = []
-    # b_i <= sum(m) < p^2 < 2^62, so each 31-bit limb is below 2^31 and each
-    # limb sum stays below p * 2^31 < 2^62 for p < _FAST_P_LIMIT; the total
-    # itself is about p^3 / 2, so a plain int64 b.sum() wraps above p ~ 2.6e6
-    b = profile.b[1:]
-    total = (int((b >> 31).sum()) << 31) + int((b & (2**31 - 1)).sum())
+    # the total is about p^3 / 2, so a plain int64 b.sum() wraps above
+    # p ~ 2.6e6; b = (b >> 31) 2^31 + (b & (2^31 - 1)) for every int64 b, and
+    # a block sum of either limb stays below _BLOCK * 2^32 < 2^63
+    total = 0
+    for lo, hi in label_blocks(1, p):
+        total += (int((b[lo:hi] >> 31).sum()) << 31) + int((b[lo:hi] & (2**31 - 1)).sum())
     if 2 * total != p * p * (p - 1) - p * c - 2:
         out.append("bead total identity fails")
-    if int(profile.c_prefix[p - 1]) != c + 1:
+    if int(c_prefix[p - 1]) != c + 1:
         out.append("gap total does not equal c + 1")
-    if not bool((profile.c_prefix[1 : p - 1] + profile.c_prefix[p - 2 : 0 : -1] == c).all()):
-        out.append("gap prefix symmetry fails")
+    for lo, hi in label_blocks(1, p - 1):
+        if not bool((c_prefix[lo:hi] + c_prefix[p - 1 - lo : p - 1 - hi : -1] == c).all()):
+            out.append("gap prefix symmetry fails")
+            break
     return out
 
 
@@ -435,7 +451,8 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
     Fraction-form: p/mx < x+y < p/mx + mx - 1 with mx = max(r, s), compared
     as mx (x+y) against p and p + mx^2 - mx.  Sum-form: x + y <= r + s is
     the hard bound; x + y = r + s exactly is reported as a note when missed
-    (the construction never relies on the equality).
+    (the construction never relies on the equality).  The uint16 witnesses
+    are widened to int64 first: r + s and mx^2 do not fit 16 bits.
     """
     p = classification.p
     t = profile.x + profile.y
@@ -443,7 +460,7 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
     notes: list[str] = []
     s_idx = np.flatnonzero(classification.kind == S_CLASS)
     if s_idx.size:
-        mx = np.maximum(classification.wr[s_idx], classification.ws[s_idx])
+        mx = np.maximum(classification.wr[s_idx], classification.ws[s_idx]).astype(np.int64)
         prod = mx * t[s_idx]
         bad = np.flatnonzero(prod <= p)
         if bad.size:
@@ -453,7 +470,7 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
             viol.append(f"fraction-form upper bound fails at i={int(s_idx[bad[0]])}")
     t_idx = np.flatnonzero(classification.kind == T_CLASS)
     if t_idx.size:
-        rs = classification.wr[t_idx] + classification.ws[t_idx]
+        rs = classification.wr[t_idx].astype(np.int64) + classification.ws[t_idx]
         bad = np.flatnonzero(t[t_idx] > rs)
         if bad.size:
             viol.append(f"sum-form bound fails at i={int(t_idx[bad[0]])}")

@@ -1,0 +1,204 @@
+"""classify_residues against its p-length-bincount reference and its corruptions.
+
+classify_residues decides its duplicate and coverage checks with uint8 class
+marks and stores the witnesses as uint16.  The version it replaced, with two
+int64 bincounts and int64 witnesses, is kept here as a reference; every
+ClassificationError branch is reached by a corrupted pair table.
+"""
+
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from corewalk import residue_walk
+from corewalk.errors import ClassificationError
+from corewalk.modarith import _FAST_P_LIMIT, inverse_range, primes_in_range, require_odd_prime
+from corewalk.residue_walk import (
+    S_CLASS,
+    T_CLASS,
+    ResidueClassification,
+    _coprime_pair_tables,
+    _PairTables,
+    check_st_lemmas,
+    classify_residues,
+    lambda_profile,
+)
+
+
+def reference_classify_residues(p: int) -> ResidueClassification:
+    """The classification with p-length int64 bincounts and witnesses, verbatim."""
+    require_odd_prime(p)
+    if p >= _FAST_P_LIMIT:
+        raise ValueError(f"p must stay below {_FAST_P_LIMIT} for the table pipeline")
+    k = math.isqrt(p)
+    mn, mx, inv_mn_mod_mx = _coprime_pair_tables(k)
+    inv_small = inverse_range(2 * k, p)
+
+    # witnesses (r, s): both orientations (mx, mn) and (mn, mx) of every pair,
+    # then (1, 1), which only the sum form has
+    r = np.concatenate((mx, mn, [1]))
+    s = np.concatenate((mn, mx, [1]))
+    inv_diff = inv_small[mx - mn]  # inv(r - s) for (mx, mn); p minus it for (mn, mx)
+    inv_sum = inv_small[mn + mx]
+    i_s = s[:-1] * np.concatenate((inv_diff, p - inv_diff)) % p
+    i_t = (p - s) * np.concatenate((inv_sum, inv_sum, inv_small[2:3])) % p
+
+    for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
+        if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
+            raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
+    cnt_s = np.bincount(i_s, minlength=p)
+    cnt_t = np.bincount(i_t, minlength=p)
+    if int(cnt_s.max()) > 1:
+        raise ClassificationError(f"duplicate fraction-form witness at i={int(cnt_s.argmax())}, p={p}")
+    if int(cnt_t.max()) > 1:
+        raise ClassificationError(f"duplicate sum-form witness at i={int(cnt_t.argmax())}, p={p}")
+    uncovered = np.flatnonzero(cnt_s[1 : p - 1] + cnt_t[1 : p - 1] == 0)
+    if uncovered.size:
+        raise ClassificationError(f"no witness at i={int(uncovered[0]) + 1}, p={p}")
+
+    kind = np.zeros(p, dtype=np.uint8)
+    wr = np.zeros(p, dtype=np.int64)
+    ws = np.zeros(p, dtype=np.int64)
+    x = np.zeros(p, dtype=np.int64)
+    y = np.zeros(p, dtype=np.int64)
+    kind[i_t] = T_CLASS
+    wr[i_t] = x[i_t] = r  # a sum-form pair is its witness
+    ws[i_t] = y[i_t] = s
+
+    # fraction-form pairs solve s*x + r*y = p; the split point a = mn*w is
+    # the unique multiple of mn in (0, r*s) congruent to p modulo mx, so
+    # (x, y) = (w, other) for (r, s) = (mx, mn) and (other, w) for (mn, mx)
+    w = (p % mx) * inv_mn_mod_mx % mx
+    if w.size and int(w.min()) < 1:
+        raise ClassificationError(f"degenerate split point at p={p}")
+    rem = p - mn * w
+    if np.any(rem % mx):
+        raise ClassificationError(f"split point misses divisibility at p={p}")
+    other = rem // mx
+    kind[i_s] = S_CLASS
+    wr[i_s] = r[:-1]
+    ws[i_s] = s[:-1]
+    x[i_s] = np.concatenate((w, other))
+    y[i_s] = np.concatenate((other, w))
+
+    idx = np.arange(1, p - 1, dtype=np.int64)
+    bad = np.flatnonzero((idx * x[1 : p - 1] + (idx + 1) * y[1 : p - 1]) % p)
+    if bad.size:
+        raise ClassificationError(f"pair fails its congruence at i={int(bad[0]) + 1}, p={p}")
+    return ResidueClassification(p, kind, wr, ws, x, y)
+
+
+@pytest.mark.parametrize("p", primes_in_range(3, 3000) + [10007, 100003])
+def test_classification_matches_reference(p):
+    got, want = classify_residues(p), reference_classify_residues(p)
+    for name in ("kind", "x", "y"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("wr", "ws"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_witness_bound_fits_uint16():
+    # every witness entry is at most isqrt(p) < isqrt(_FAST_P_LIMIT)
+    assert math.isqrt(_FAST_P_LIMIT - 1) < 2**16
+
+
+def test_lemma_check_widens_witnesses_before_arithmetic():
+    # synthetic witnesses whose r + s and mx^2 wrap in 16 bits
+    cls = classify_residues(101)
+    prof = lambda_profile(101, cls)
+    i_s = int(np.flatnonzero(cls.kind == S_CLASS)[0])
+    i_t = int(np.flatnonzero(cls.kind == T_CLASS)[0])
+    wr, ws = cls.wr.copy(), cls.ws.copy()
+    wr[i_s] = 40000
+    wr[i_t], ws[i_t] = 40000, 25537  # r + s = 65537 = 2^16 + 1
+    viol, notes = check_st_lemmas(dataclasses.replace(cls, wr=wr, ws=ws), prof)
+    assert viol == []
+    assert notes == [f"sum-form equality missed at i={i_t}"]
+
+
+def test_pair_table_cache_keeps_one_table():
+    _coprime_pair_tables(10)
+    _coprime_pair_tables(11)
+    assert _coprime_pair_tables.cache_info().currsize == 1
+
+
+def test_classification_memory_per_residue():
+    p = 200003
+    _coprime_pair_tables(math.isqrt(p))  # warm: the table is not counted
+    tracemalloc.start()
+    try:
+        lambda_profile(p, classify_residues(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 75 * p
+
+
+def _corrupted(edit):
+    """The k = 10 pair table (p = 101) with edit(mn, mx, inv) applied to copies."""
+    mn, mx, inv = (a.copy() for a in _coprime_pair_tables(10))
+    return _PairTables(*edit(mn, mx, inv))
+
+
+def _position(mn, mx, pair):
+    return int(np.flatnonzero((mn == pair[0]) & (mx == pair[1]))[0])
+
+
+def _repeat(mn, mx, inv):
+    j = _position(mn, mx, (3, 5))
+    return np.append(mn, mn[j]), np.append(mx, mx[j]), np.append(inv, inv[j])
+
+
+def _repeat_swapped(mn, mx, inv):
+    # (2, 3) again as (3, 2): both its sum-form residues recur, while its
+    # fraction-form residues, read at the negative index mn - mx, land apart
+    j = _position(mn, mx, (2, 3))
+    return np.append(mn, mx[j]), np.append(mx, mn[j]), np.append(inv, inv[j])
+
+
+def _equal_entries(mn, mx, inv):
+    return np.append(mn, 2), np.append(mx, 2), np.append(inv, 1)  # r - s = 0
+
+
+def _drop(mn, mx, inv):
+    keep = np.arange(mn.size) != _position(mn, mx, (3, 5))
+    return mn[keep], mx[keep], inv[keep]
+
+
+def _inverse(pair, value):
+    def edit(mn, mx, inv):
+        j = _position(mn, mx, pair)
+        inv[j] = value(inv[j])
+        return mn, mx, inv
+
+    return edit
+
+
+def _swap_entries(mn, mx, inv):
+    j = _position(mn, mx, (8, 9))
+    mn[j], mx[j], inv[j] = 9, 8, 1  # 9 = 1 mod 8
+    return mn, mx, inv
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_repeat, "duplicate fraction-form witness at i=48, p=101"),
+        (_repeat_swapped, "duplicate sum-form witness at i=40, p=101"),
+        (_equal_entries, "fraction-form witness fell outside 1..p-2 at p=101"),
+        (_drop, "no witness at i=12, p=101"),
+        (_inverse((1, 3), lambda v: 0), "degenerate split point at p=101"),
+        (_inverse((1, 3), lambda v: v + 1), "split point misses divisibility at p=101"),
+        (_swap_entries, "pair fails its congruence at i=40, p=101"),
+    ],
+)
+def test_classification_catches_corrupted_pair_table(monkeypatch, edit, message):
+    tables = _corrupted(edit)
+    monkeypatch.setattr(residue_walk, "_coprime_pair_tables", lambda k: tables)
+    with pytest.raises(ClassificationError) as err:
+        classify_residues(101)
+    assert str(err.value) == message

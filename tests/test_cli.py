@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from corewalk import cli
+from corewalk import cli, oracle
 from corewalk.cli import _decimal_ratio, main
 
 
@@ -112,6 +112,17 @@ def test_oracle_partitions(capsys):
 
 
 def test_oracle_longest_dp(capsys):
+    code, out, _ = run(capsys, "oracle", "-p", "13", "--mode", "longest-dp")
+    assert code == 0
+    assert "matches the profile" in out
+
+
+def test_oracle_longest_dp_builds_the_profile_once(capsys, monkeypatch):
+    # cmd_oracle compares the whole m itself, so the dynamic program must not rebuild the profile
+    def rebuilt(p):
+        raise AssertionError(f"longest_walk_dp rebuilt the profile at p={p}")
+
+    monkeypatch.setattr(oracle, "lambda_profile", rebuilt)
     code, out, _ = run(capsys, "oracle", "-p", "13", "--mode", "longest-dp")
     assert code == 0
     assert "matches the profile" in out
