@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import VerificationError
-from .residue_walk import LambdaProfile
+from .residue_walk import LambdaProfile, _row_sums
 
 STATED_THEOREM_MIN_P = 10**6
 STATED_C_UPPER_MIN_P = 17
@@ -127,7 +127,7 @@ def c_bounds_check(p: int, profile: LambdaProfile) -> CBoundsVerdict:
     margin_lower = _signed_square(5 * c + 80 * p) - 36 * p3
     k = p // 18
     if k >= 1:
-        ck = int(profile.c_prefix[k])
+        ck = k * p - _row_sums(profile.m, 1, k + 1, p)[0]  # d_i = p - m_i
         margin_c18: Optional[int] = 4 * p3 - _signed_square(5 * (ck - p))
         c18_ok: Optional[bool] = margin_c18 > 0
     else:

@@ -108,29 +108,20 @@ def cmd_lambda(args: argparse.Namespace) -> int:
         raise ValueError(f"explicit parts are limited to p <= {MAX_PARTS_PRIME}, got {p}")
     profile = lambda_profile(p)
     ratio = _decimal_ratio(24 * profile.size, p**6)
+    fields: dict = {"p": p, "size": profile.size, "c": profile.c, "ratio_24size_p6": ratio}
+    if "m" in emit:
+        fields["m"] = profile.m[1:].tolist()
+    if "b" in emit:
+        fields["b"] = profile.b[1:].tolist()
+    if "parts" in emit:
+        fields["parts"] = list(profile_to_partition(profile).parts)
     if args.fmt == "json":
-        doc: dict = {
-            "p": p,
-            "size": str(profile.size),
-            "c": profile.c,
-            "ratio_24size_p6": ratio,
-        }
-        if "m" in emit:
-            doc["m"] = profile.m[1:].tolist()
-        if "b" in emit:
-            doc["b"] = profile.b[1:].tolist()
-        if "parts" in emit:
-            doc["parts"] = list(profile_to_partition(profile).parts)
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps({**fields, "size": str(profile.size)}, indent=2) + "\n"
     else:
-        lines = [f"p: {p}", f"size: {profile.size}", f"c: {profile.c}", f"ratio_24size_p6: {ratio}"]
-        if "m" in emit:
-            lines.append("m: " + ",".join(map(str, profile.m[1:].tolist())))
-        if "b" in emit:
-            lines.append("b: " + ",".join(map(str, profile.b[1:].tolist())))
-        if "parts" in emit:
-            lines.append("parts: " + format_partition(profile_to_partition(profile)))
-        text = "\n".join(lines) + "\n"
+        text = "".join(
+            f"{key}: {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            for key, value in fields.items()
+        )
     _write_output(text, args.output)
     return 0
 
@@ -182,11 +173,8 @@ def _verify_row(args: tuple[int, tuple[str, ...]]) -> dict:
     for check in checks:
         if check in _CHECK_GROUPS:
             status, notes = _group_status(report, _CHECK_GROUPS[check])
-        elif check == "symmetry":
-            viol = check_symmetry(profile)
-            status, notes = ("fail", viol) if viol else ("pass", [])
-        elif check == "identity":
-            viol = check_sum_identity(profile)
+        elif check in ("symmetry", "identity"):
+            viol = check_symmetry(profile) if check == "symmetry" else check_sum_identity(profile)
             status, notes = ("fail", viol) if viol else ("pass", [])
         elif check == "structure":
             wv = validate_walk(profile)

@@ -53,23 +53,33 @@ class MinimalPairRecord:
 
 @dataclass(frozen=True, eq=False)
 class LambdaProfile:
-    """Profile of the maximal p-core p'-partition.
+    """Profile of the maximal p-core p'-partition: its row counts and pairs.
 
     Arrays are padded so index i holds the value for label i (index 0 is
-    unused): m[i] rows with i gaps, b[i] = m[1] + ... + m[i] beads on runner
-    i, d[i] = p - m[i], c_prefix[i] = d[1] + ... + d[i].  The pair arrays x,
-    y are meaningful for 1 <= i <= p-2.
+    unused): m[i] rows with i gaps and the pair (x[i], y[i]), meaningful for
+    1 <= i <= p-2.  b[i] = m[1] + ... + m[i] beads on runner i, d[i] = p - m[i]
+    and c_prefix[i] = d[1] + ... + d[i] = i p - b[i] are not stored: each read
+    derives them from m as int64 arrays with index 0 holding 0.
     """
 
     p: int
     m: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    c_prefix: np.ndarray
     x: np.ndarray
     y: np.ndarray
     c: int
     size: int
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.m[1:], dtype=np.int64)))
+
+    @property
+    def d(self) -> np.ndarray:
+        return np.concatenate(([0], np.subtract(self.p, self.m[1:], dtype=np.int64)))
+
+    @property
+    def c_prefix(self) -> np.ndarray:
+        return np.arange(self.p, dtype=np.int64) * self.p - self.b
 
 
 @dataclass(frozen=True)
@@ -251,12 +261,13 @@ def _check(condition: bool, what: str, p: int) -> None:
 
 
 def lambda_profile(p: int, classification: Optional[ResidueClassification] = None) -> LambdaProfile:
-    """Row counts, runner counts and exact size of the maximal profile.
+    """Row counts and exact size of the maximal profile.
 
     m[1] = p-1 and m[p-1] = p-2 are the climb and the descent; in between,
     m[i] = p - y[i-1] - x[i] counts the label-i rows of the two adjacent
-    excursions.  The profile is returned only if check_symmetry and
-    check_sum_identity find nothing and the pairs and row counts are sane.
+    excursions.  The size comes from a transient b = cumsum(m).  The profile
+    is returned only if check_symmetry and check_sum_identity find nothing
+    and the pairs and row counts are sane.
     """
     require_odd_prime(p)
     cls_ = classification if classification is not None else classify_residues(p)
@@ -270,19 +281,13 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     if p >= 5:  # in place, with no p-length temporary
         np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
         np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
-    d = np.zeros(p, dtype=np.int64)
-    np.subtract(p, m[1:], out=d[1:])
-    c_prefix = np.zeros(p, dtype=np.int64)
-    np.cumsum(d[1:], out=c_prefix[1:])
     c = int(np.sum(x[1 : p - 1]) + np.sum(y[1 : p - 1]))
-    b = np.zeros(p, dtype=np.int64)
-    np.cumsum(m[1:], out=b[1:])
 
     _check(int(x[1 : p - 1].min()) >= 1 and int(y[1 : p - 1].min()) >= 1, "pair positivity", p)
     _check(int(m[1:].min()) >= 0, "nonnegative row counts", p)
 
-    size = size_from_bead_multiplicities(BeadMultiplicities(p, b[1:]))
-    profile = LambdaProfile(p, m, b, d, c_prefix, x, y, c, size)
+    size = size_from_bead_multiplicities(BeadMultiplicities(p, np.cumsum(m[1:])))
+    profile = LambdaProfile(p, m, x, y, c, size)
     violations = check_symmetry(profile) + check_sum_identity(profile)
     _check(not violations, "; ".join(violations), p)
     return profile
@@ -312,17 +317,29 @@ def partition_from_row_counts(p: int, row_counts) -> Partition:
     return Partition(tuple(parts))
 
 
+def _row_sums(m: np.ndarray, start: int, stop: int, p: int) -> tuple[int, int]:
+    """Exact sums of m[i] and of (p - i) m[i] over start <= i < stop, for any int64 m.
+
+    Per block, m = (m >> 31) 2^31 + (m & (2^31 - 1)) with both limbs in
+    [-2^32, 2^32), and i = lo + t with t < _BLOCK = 2^14, so every limb sum
+    and t-weighted limb sum of a block stays below _BLOCK^2 2^32 = 2^60 < 2^63.
+    """
+    total = weighted = 0
+    for lo, hi in label_blocks(start, stop):
+        t = np.arange(hi - lo, dtype=np.int64)
+        for shift, limb in ((31, m[lo:hi] >> 31), (0, m[lo:hi] & (2**31 - 1))):
+            limb_sum = int(limb.sum())
+            total += limb_sum << shift
+            weighted += ((p - lo) * limb_sum - int((t * limb).sum())) << shift
+    return total, weighted
+
+
 def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PARTS) -> Partition:
     """Materialize the explicit partition; refuses absurdly long part lists."""
     p, rows = profile.p, profile.m[1:]
     if not 0 <= max_parts < 2**32 or int(rows.min()) < 0:
         raise ValueError(f"need nonnegative row counts and 0 <= max_parts < 2^32, got max_parts={max_parts}")
-    # a row of i gaps holds p - i >= 1 parts, so there are at least max(m) and
-    # sum(m) parts.  Below 2^32 each, p < 2^31 rows sum exactly in int64, and
-    # once sum(m) <= max_parts the part count is below p * 2^32 < 2^63
-    if int(rows.max()) > max_parts or int(rows.sum()) > max_parts:
-        raise ValueError(f"profile has more parts than the cap of {max_parts}")
-    total = int(((p - np.arange(1, p, dtype=np.int64)) * rows).sum())
+    total = _row_sums(profile.m, 1, p, p)[1]  # a row of i gaps holds p - i parts
     if total > max_parts:
         raise ValueError(f"profile has {total} parts, above the cap of {max_parts}")
     lam = partition_from_row_counts(p, rows.tolist())
@@ -404,8 +421,7 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
             else:
                 violation = f"walk hits 0 inside a label-{i} segment from {p - 1}"
     vertices: Optional[list[int]] = None
-    if int(m[1:].sum()) + 1 <= vertex_cap:
-        # fewer than vertex_cap steps below p < 2^31: the sum is exact for vertex_cap < 2^32
+    if _row_sums(m, 1, p, p)[0] + 1 <= vertex_cap:
         steps = np.repeat(np.arange(1, i + 1, dtype=np.int64), np.append(m[1:i], walked))
         vertices = [0] + (np.cumsum(steps) % p).tolist()
     return WalkValidation(violation is None, violation, vertices, v if violation is None else None)
@@ -425,23 +441,23 @@ def check_symmetry(profile: LambdaProfile) -> list[str]:
 
 
 def check_sum_identity(profile: LambdaProfile) -> list[str]:
-    """Exact bead total: sum b_i = p^2 (p-1)/2 - p c / 2 - 1, checked doubled."""
-    p, b, c_prefix, c = profile.p, profile.b, profile.c_prefix, profile.c
+    """The runner-count identities, read off the row counts in exact integers.
+
+    Bead total: sum b_i = sum (p - i) m_i = p^2 (p-1)/2 - p c / 2 - 1, checked
+    doubled.  Gap total: c_prefix[p-1] = p (p-1) - sum m_i = c + 1.  Gap-prefix
+    symmetry, c_prefix[i] + c_prefix[p-1-i] = c for 1 <= i <= p-2, holds exactly
+    when m_i = m_{p-i} for 2 <= i <= p-2 and m_1 - m_{p-1} = p (p-1) - sum m_i - c.
+    """
+    p, m, c = profile.p, profile.m, profile.c
     out = []
-    # the total is about p^3 / 2, so a plain int64 b.sum() wraps above
-    # p ~ 2.6e6; b = (b >> 31) 2^31 + (b & (2^31 - 1)) for every int64 b, and
-    # a block sum of either limb stays below _BLOCK * 2^32 < 2^63
-    total = 0
-    for lo, hi in label_blocks(1, p):
-        total += (int((b[lo:hi] >> 31).sum()) << 31) + int((b[lo:hi] & (2**31 - 1)).sum())
-    if 2 * total != p * p * (p - 1) - p * c - 2:
+    total, beads = _row_sums(m, 1, p, p)
+    if 2 * beads != p * p * (p - 1) - p * c - 2:
         out.append("bead total identity fails")
-    if int(c_prefix[p - 1]) != c + 1:
+    if p * (p - 1) - total != c + 1:
         out.append("gap total does not equal c + 1")
-    for lo, hi in label_blocks(1, p - 1):
-        if not bool((c_prefix[lo:hi] + c_prefix[p - 1 - lo : p - 1 - hi : -1] == c).all()):
-            out.append("gap prefix symmetry fails")
-            break
+    mirrored = all(bool((m[lo:hi] == m[p - lo : p - hi : -1]).all()) for lo, hi in label_blocks(2, p - 1))
+    if not mirrored or int(m[1]) - int(m[p - 1]) != p * (p - 1) - total - c:
+        out.append("gap prefix symmetry fails")
     return out
 
 
@@ -452,29 +468,25 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
     as mx (x+y) against p and p + mx^2 - mx.  Sum-form: x + y <= r + s is
     the hard bound; x + y = r + s exactly is reported as a note when missed
     (the construction never relies on the equality).  The uint16 witnesses
-    are widened to int64 first: r + s and mx^2 do not fit 16 bits.
+    are widened to int64 first: r + s and mx^2 do not fit 16 bits.  Each
+    message names its first failing residue, found over blocks of labels.
     """
-    p = classification.p
-    t = profile.x + profile.y
-    viol: list[str] = []
-    notes: list[str] = []
-    s_idx = np.flatnonzero(classification.kind == S_CLASS)
-    if s_idx.size:
-        mx = np.maximum(classification.wr[s_idx], classification.ws[s_idx]).astype(np.int64)
-        prod = mx * t[s_idx]
-        bad = np.flatnonzero(prod <= p)
-        if bad.size:
-            viol.append(f"fraction-form lower bound fails at i={int(s_idx[bad[0]])}")
-        bad = np.flatnonzero(prod >= p + mx * mx - mx)
-        if bad.size:
-            viol.append(f"fraction-form upper bound fails at i={int(s_idx[bad[0]])}")
-    t_idx = np.flatnonzero(classification.kind == T_CLASS)
-    if t_idx.size:
-        rs = classification.wr[t_idx].astype(np.int64) + classification.ws[t_idx]
-        bad = np.flatnonzero(t[t_idx] > rs)
-        if bad.size:
-            viol.append(f"sum-form bound fails at i={int(t_idx[bad[0]])}")
-        missed = np.flatnonzero(t[t_idx] != rs)
-        if missed.size:
-            notes.append(f"sum-form equality missed at i={int(t_idx[missed[0]])}")
-    return viol, notes
+    p, cls_, prof = classification.p, classification, profile
+    first: dict[int, str] = {}  # message number -> the message at its first failing residue
+    for lo, hi in label_blocks(1, p - 1):
+        fraction, sum_form = cls_.kind[lo:hi] == S_CLASS, cls_.kind[lo:hi] == T_CLASS
+        wr, ws = cls_.wr[lo:hi].astype(np.int64), cls_.ws[lo:hi].astype(np.int64)
+        mx, rs = np.maximum(wr, ws), wr + ws
+        t = prof.x[lo:hi] + prof.y[lo:hi]
+        prod = mx * t  # classified pairs lie in 0..p-1 < 2^31 and mx < 2^16: below 2^48
+        checks = (
+            ("fraction-form lower bound fails", fraction & (prod <= p)),
+            ("fraction-form upper bound fails", fraction & (prod >= p + mx * mx - mx)),
+            ("sum-form bound fails", sum_form & (t > rs)),
+            ("sum-form equality missed", sum_form & (t != rs)),
+        )
+        for j, (text, bad) in enumerate(checks):
+            hit = np.flatnonzero(bad)
+            if hit.size and j not in first:
+                first[j] = f"{text} at i={lo + int(hit[0])}"
+    return [first[j] for j in sorted(first) if j < 3], [first[3]] if 3 in first else []

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corewalk import residue_walk
@@ -61,3 +62,18 @@ def test_profile_keeps_the_attributes_the_checks_read():
         assert getattr(prof, name).shape == (11,)
     init_fields = {field.name for field in dataclasses.fields(prof) if field.init}
     assert {"m", "x", "y"} <= init_fields
+
+
+def test_derived_profile_arrays_follow_m():
+    # Tracer.count_profile reads b, d and c_prefix; selftest.py replaces m
+    prof = lambda_profile(11)
+    assert {"b", "d", "c_prefix"}.isdisjoint(field.name for field in dataclasses.fields(prof))
+    m2 = prof.m.copy()
+    m2[3] += 5
+    bad = dataclasses.replace(prof, m=m2)
+    for name in ("b", "d", "c_prefix"):
+        arr = getattr(bad, name)
+        assert arr.dtype == np.int64 and arr.shape == (11,) and arr[0] == 0, name
+    assert bad.b[1:].tolist() == np.cumsum(m2[1:]).tolist()
+    assert bad.d[1:].tolist() == (11 - m2[1:]).tolist()
+    assert bad.c_prefix.tolist() == [i * 11 - b for i, b in enumerate(bad.b.tolist())]

@@ -138,6 +138,21 @@ def test_classification_memory_per_residue():
     assert peak < 75 * p
 
 
+def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
+    # kind (1 B), wr, ws (2 B each), x, y and m (8 B each): 29 B per residue
+    p = 200003
+    _coprime_pair_tables(math.isqrt(p))  # warm: the table is not counted
+    tracemalloc.start()
+    try:
+        cls = classify_residues(p)
+        prof = lambda_profile(p, cls)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.p == cls.p == p
+    assert held <= 30 * p
+
+
 def _corrupted(edit):
     """The k = 10 pair table (p = 101) with edit(mn, mx, inv) applied to copies."""
     mn, mx, inv = (a.copy() for a in _coprime_pair_tables(10))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corewalk import residue_walk
+from corewalk import modarith, residue_walk
 from corewalk.errors import VerificationError
 from corewalk.modarith import mod_inverse, primes_in_range
 from corewalk.partitions import is_p_core, is_p_regular
@@ -257,9 +257,7 @@ def test_validate_walk_skips_recording_when_long():
 def _tampered(prof: LambdaProfile, label: int, delta: int) -> LambdaProfile:
     m = prof.m.copy()
     m[label] += delta
-    b = np.zeros_like(m)
-    np.cumsum(m[1:], out=b[1:])
-    return LambdaProfile(prof.p, m, b, prof.d, prof.c_prefix, prof.x, prof.y, prof.c, prof.size)
+    return dataclasses.replace(prof, m=m)
 
 
 def test_validate_walk_rejects_tampered_row_counts():
@@ -278,6 +276,17 @@ def test_validate_walk_rejects_tampered_row_counts():
     wv = validate_walk(bad_descent)
     assert not wv.ok
     assert "final descent" in wv.violation
+
+
+def test_validate_walk_vertex_cap_is_exact_for_huge_row_counts():
+    # two rows of 2^62 make an int64 sum of m wrap negative, below any cap
+    prof = lambda_profile(1009)
+    m = prof.m.copy()
+    m[1007] = m[1008] = 2**62
+    assert int(m[1:].sum()) < 0
+    wv = validate_walk(dataclasses.replace(prof, m=m))
+    assert not wv.ok
+    assert wv.vertices is None
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
@@ -315,11 +324,22 @@ def test_symmetry_check_catches_broken_pair_mirror():
 
 @pytest.mark.parametrize(
     "index, expected",
-    [(10, ["gap total does not equal c + 1"]), (1, ["gap prefix symmetry fails"])],
+    [
+        (10, ["bead total identity fails", "gap total does not equal c + 1"]),
+        (1, ["gap prefix symmetry fails"]),
+    ],
 )
 def test_sum_identity_check_catches_broken_gap_prefix(index, expected):
+    # c_prefix[index] = index p - b[index] rises by one: the runner counts b
+    # drop by one at index and, below the last runner, rise back at index + 1.
+    # At the last runner sum m (so the gap total) and sum b both move while
+    # the prefixes stay mirrored; at runner 1 only the mirror breaks.
     prof = lambda_profile(11)
-    assert check_sum_identity(_shifted(prof, "c_prefix", index, 1)) == expected
+    b = prof.b.copy()
+    b[index] -= 1
+    if index + 1 < prof.p:
+        b[index + 1] += 1
+    assert check_sum_identity(dataclasses.replace(prof, m=np.diff(b, prepend=0))) == expected
 
 
 @pytest.mark.parametrize(
@@ -342,20 +362,75 @@ def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, exp
     assert notes == [f"{text} at i={i}" for text in expected_notes]
 
 
+@pytest.mark.parametrize(
+    "label, dc, expected",
+    [
+        # one more climb row: sum b and sum m move, and m_1 - m_{p-1} no
+        # longer equals p (p-1) - sum m - c, while m_i = m_{p-i} holds inside
+        (1, 0, ["bead total identity fails", "gap total does not equal c + 1", "gap prefix symmetry fails"]),
+        # one more label-2 row and c one lower: the gap total and m_1 - m_{p-1}
+        # still match, but m_2 != m_{p-2}
+        (2, -1, ["bead total identity fails", "gap prefix symmetry fails"]),
+    ],
+)
+def test_sum_identity_gap_prefix_reads_the_ends_and_the_mirror(label, dc, expected):
+    prof = lambda_profile(11)
+    bad = dataclasses.replace(_tampered(prof, label, 1), c=prof.c + dc)
+    assert check_sum_identity(bad) == expected
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+def test_lemma_check_keeps_message_order_across_blocks(monkeypatch, block):
+    # residues of p = 101 and the pair sum x + y each is given; in blocks of
+    # 7 labels every message first fails in its own block, in the reverse of
+    # the message order, and fails again in a later block
+    cls = classify_residues(101)
+    prof = lambda_profile(101, cls)
+    rs = cls.wr.astype(np.int64) + cls.ws
+    sums = {10: rs[10] - 1, 27: rs[27] + 1, 60: rs[60] + 1, 52: 101, 81: 1, 95: 1}
+    assert [int(cls.kind[i]) for i in sums] == [T_CLASS] * 3 + [S_CLASS] * 3
+    x, y = prof.x.copy(), prof.y.copy()
+    for i, t in sums.items():
+        x[i], y[i] = t, 0
+    monkeypatch.setattr(modarith, "_BLOCK", block)
+    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    assert viol == [
+        "fraction-form lower bound fails at i=81",
+        "fraction-form upper bound fails at i=52",
+        "sum-form bound fails at i=27",
+    ]
+    assert notes == ["sum-form equality missed at i=10"]
+
+
+def test_lemma_check_temporaries_do_not_grow_with_p():
+    peaks = []
+    for p in (primes_in_range(50_000, 50_100)[0], primes_in_range(200_000, 200_100)[0]):
+        cls = classify_residues(p)
+        prof = lambda_profile(p, cls)
+        tracemalloc.start()
+        try:
+            assert check_st_lemmas(cls, prof)[0] == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
 def test_sum_identity_bead_total_is_exact_near_int64_limit():
     prof = lambda_profile(11)
     p = prof.p
-    b = np.full(p, 2**62 - 1, dtype=np.int64)
-    b[0] = 0
-    b[1] -= (sum(b[1:].tolist()) + 1) % p
-    total = sum(b[1:].tolist())
+    m = np.full(p, 2**62 - 1, dtype=np.int64)
+    m[0] = 0
+    weights = list(range(p, 0, -1))  # p - i
+    # sum b = sum (p - i) m_i; p - 1 = -1 mod p, so lowering m_1 by one raises it by one mod p
+    m[1] -= (-1 - sum(map(int.__mul__, weights[1:], m[1:].tolist()))) % p
+    total = sum(map(int.__mul__, weights[1:], m[1:].tolist()))
     assert total % p == p - 1
-    assert int(b[1:].sum()) != total  # a plain int64 sum wraps here
+    assert int(((p - np.arange(p)) * m)[1:].sum()) != total  # a plain int64 sum wraps here
     c = (p * p * (p - 1) - 2 - 2 * total) // p
-    big = dataclasses.replace(prof, b=b, c=c)
-    assert not any("bead total" in v for v in check_sum_identity(big))
-    b[1] += 1
-    assert any("bead total" in v for v in check_sum_identity(big))
+    assert not any("bead total" in v for v in check_sum_identity(dataclasses.replace(prof, m=m, c=c)))
+    m[1] += 1
+    assert any("bead total" in v for v in check_sum_identity(dataclasses.replace(prof, m=m, c=c)))
 
 
 def test_profile_rejects_broken_classification():
