@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import VerificationError
 from .residue_walk import LambdaProfile, _row_sums
@@ -58,18 +58,28 @@ def mcdowell_construction_value(p: int) -> Fraction:
     return Fraction(p**6 + 6 * p**4 - 12 * p**3 + 89 * p**2 - 120 * p - 48, 96)
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    p: int
-    size: int
-    lower_ok: bool
-    upper_ok: bool
-    margin_lower: int
-    margin_upper: int
-    in_stated_range: bool
+class Bound(NamedTuple):
+    """One inequality at one prime: its verdict, whether it is asserted, its margin.
+
+    ok is None exactly when margin is None (the check is empty at this p);
+    asserted says whether a False ok is an error or a data point outside
+    the stated range.
+    """
+
+    ok: Optional[bool]
+    asserted: bool
+    margin: Optional[int]
 
 
-def theorem_interval_check(p: int, size: int) -> TheoremVerdict:
+def _strict(margin: Optional[int], asserted: bool) -> Bound:
+    return Bound(None if margin is None else margin > 0, asserted, margin)
+
+
+def _weak(margin: int, asserted: bool) -> Bound:
+    return Bound(margin >= 0, asserted, margin)
+
+
+def theorem_interval_check(p: int, size: int) -> dict[str, Bound]:
     """Decide p^6/24 - p^5 sqrt(p) < size < p^6/24 - (1/200) p^5 sqrt(p).
 
     With L = p^6 - 24 size both inequalities become one-sided comparisons of
@@ -83,35 +93,14 @@ def theorem_interval_check(p: int, size: int) -> TheoremVerdict:
         raise ValueError("need p >= 2 and size >= 0")
     p11 = p**11
     big_l = p**6 - 24 * size
-    margin_lower = 576 * p11 - _signed_square(big_l)
-    margin_upper = _signed_square(25 * big_l) - 9 * p11
-    return TheoremVerdict(
-        p,
-        size,
-        margin_lower > 0,
-        margin_upper > 0,
-        margin_lower,
-        margin_upper,
-        p > STATED_THEOREM_MIN_P,
-    )
+    stated = p > STATED_THEOREM_MIN_P
+    return {
+        "theorem_lower": _strict(576 * p11 - _signed_square(big_l), stated),
+        "theorem_upper": _strict(_signed_square(25 * big_l) - 9 * p11, stated),
+    }
 
 
-@dataclass(frozen=True)
-class CBoundsVerdict:
-    p: int
-    c: int
-    c_upper_ok: bool
-    c_lower_ok: bool
-    c18_ok: Optional[bool]
-    margin_c_upper: int
-    margin_c_lower: int
-    margin_c18: Optional[int]
-    c_upper_asserted: bool
-    c_lower_asserted: bool
-    c18_asserted: bool
-
-
-def c_bounds_check(p: int, profile: LambdaProfile) -> CBoundsVerdict:
+def c_bounds_check(p: int, profile: LambdaProfile) -> dict[str, Bound]:
     """Bounds on the gap statistic c and the prefix value at floor(p/18).
 
     c < (11/3) p sqrt(p) compares 9 c^2 against 121 p^3; the lower bound
@@ -123,112 +112,46 @@ def c_bounds_check(p: int, profile: LambdaProfile) -> CBoundsVerdict:
         raise ValueError(f"profile is for p={profile.p}, not p={p}")
     c = profile.c
     p3 = p**3
-    margin_upper = 121 * p3 - 9 * c * c
-    margin_lower = _signed_square(5 * c + 80 * p) - 36 * p3
     k = p // 18
+    margin_c18: Optional[int] = None
     if k >= 1:
         ck = k * p - _row_sums(profile.m, 1, k + 1, p)[0]  # d_i = p - m_i
-        margin_c18: Optional[int] = 4 * p3 - _signed_square(5 * (ck - p))
-        c18_ok: Optional[bool] = margin_c18 > 0
-    else:
-        margin_c18 = None
-        c18_ok = None
-    return CBoundsVerdict(
-        p,
-        c,
-        margin_upper > 0,
-        margin_lower > 0,
-        c18_ok,
-        margin_upper,
-        margin_lower,
-        margin_c18,
-        p >= STATED_C_UPPER_MIN_P,
-        p > STATED_C_LOWER_MIN_P,
-        k >= 1 and p > STATED_C18_MIN_P,
-    )
+        margin_c18 = 4 * p3 - _signed_square(5 * (ck - p))
+    return {
+        "c_upper": _strict(121 * p3 - 9 * c * c, p >= STATED_C_UPPER_MIN_P),
+        "c_lower": _strict(_signed_square(5 * c + 80 * p) - 36 * p3, p > STATED_C_LOWER_MIN_P),
+        "c18": _strict(margin_c18, p > STATED_C18_MIN_P),  # STATED_C18_MIN_P >= 18, so k >= 1
+    }
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """All inequality verdicts for one prime.
+def bounds_report(p: int, profile: LambdaProfile) -> dict[str, Bound]:
+    """Every size and gap inequality for one prime, by name, in output order.
 
-    verdicts[name] is True/False, or None when the check has no content at
-    this p; asserted[name] says whether a False verdict is an error or
-    merely a data point outside the stated range.  margins are exact
-    integers, positive on success, except construction_comparison whose
-    margin is scaled by 96.
+    Each margin is an exact integer, or None for c18 while floor(p/18) = 0.
+    The theorem and c bounds are strict, ok when margin > 0; eq1_upper,
+    bound_chain, mcspirit_ono_upper and construction_comparison are not, ok
+    when margin >= 0.  construction_comparison's margin is scaled by 96 and
+    is never asserted.
     """
-
-    p: int
-    size: int
-    c: int
-    verdicts: dict[str, Optional[bool]]
-    margins: dict[str, Optional[int]]
-    asserted: dict[str, bool]
-    notes: tuple[str, ...]
-
-
-def bounds_report(p: int, profile: LambdaProfile) -> BoundsReport:
-    """Assemble every size and gap inequality for one prime."""
     if profile.p != p:
         raise ValueError(f"profile is for p={profile.p}, not p={p}")
     size = profile.size
-    tv = theorem_interval_check(p, size)
-    cb = c_bounds_check(p, profile)
     ono = mcspirit_ono_bound(p)
     upper = mcdowell_upper(p)
     construction = mcdowell_construction_value(p)
-
-    verdicts: dict[str, Optional[bool]] = {
-        "theorem_lower": tv.lower_ok,
-        "theorem_upper": tv.upper_ok,
-        "eq1_upper": size <= upper,
-        "bound_chain": upper <= ono,
-        "mcspirit_ono_upper": size <= ono,
-        "construction_comparison": size >= construction,
-        "c_upper": cb.c_upper_ok,
-        "c_lower": cb.c_lower_ok,
-        "c18": cb.c18_ok,
+    return {
+        **theorem_interval_check(p, size),
+        "eq1_upper": _weak(upper - size, True),
+        "bound_chain": _weak(ono - upper, True),
+        "mcspirit_ono_upper": _weak(ono - size, True),
+        "construction_comparison": _weak(int(96 * (size - construction)), False),
+        **c_bounds_check(p, profile),
     }
-    margins: dict[str, Optional[int]] = {
-        "theorem_lower": tv.margin_lower,
-        "theorem_upper": tv.margin_upper,
-        "eq1_upper": upper - size,
-        "bound_chain": ono - upper,
-        "mcspirit_ono_upper": ono - size,
-        "construction_comparison": int(96 * (size - construction)),
-        "c_upper": cb.margin_c_upper,
-        "c_lower": cb.margin_c_lower,
-        "c18": cb.margin_c18,
-    }
-    asserted = {
-        "theorem_lower": tv.in_stated_range,
-        "theorem_upper": tv.in_stated_range,
-        "eq1_upper": True,
-        "bound_chain": True,
-        "mcspirit_ono_upper": True,
-        "construction_comparison": False,
-        "c_upper": cb.c_upper_asserted,
-        "c_lower": cb.c_lower_asserted,
-        "c18": cb.c18_asserted,
-    }
-    notes: list[str] = []
-    if not tv.in_stated_range:
-        notes.append(f"theorem interval stated for p > {STATED_THEOREM_MIN_P}; reported only")
-    if not cb.c_upper_asserted:
-        notes.append(f"c upper bound stated for p >= {STATED_C_UPPER_MIN_P}; reported only")
-    if not cb.c_lower_asserted:
-        notes.append(f"c lower bound stated for p > {STATED_C_LOWER_MIN_P}; reported only")
-    if cb.c18_ok is None:
-        notes.append("c18 check empty at this p (floor(p/18) = 0)")
-    elif not cb.c18_asserted:
-        notes.append(f"c18 bound stated for p > {STATED_C18_MIN_P}; reported only")
-    return BoundsReport(p, size, profile.c, verdicts, margins, asserted, tuple(notes))
 
 
-def failed_assertions(report: BoundsReport) -> list[str]:
+def failed_assertions(report: dict[str, Bound]) -> list[str]:
     """Names of checks that are both asserted and false."""
-    return [name for name, ok in report.verdicts.items() if report.asserted[name] and ok is False]
+    return [name for name, bound in report.items() if bound.asserted and bound.ok is False]
 
 
 def totient_sieve(n: int) -> list[int]:

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .bounds import (
+    Bound,
     bounds_report,
     mcdowell_upper,
     mcspirit_ono_bound,
@@ -129,18 +130,18 @@ def cmd_lambda(args: argparse.Namespace) -> int:
 # inequality sweep
 
 
-def _group_status(report, names: Sequence[str]) -> tuple[str, list[str]]:
+def _group_status(report: dict[str, Bound], names: Sequence[str]) -> tuple[str, list[str]]:
     notes: list[str] = []
     asserted_fail = soft_fail = starred = applicable = False
     for name in names:
-        ok = report.verdicts[name]
+        ok, asserted, margin = report[name]
         if ok is None:
             continue
         applicable = True
-        if report.asserted[name]:
+        if asserted:
             if not ok:
                 asserted_fail = True
-                notes.append(f"{name} fails, margin {report.margins[name]}")
+                notes.append(f"{name} fails, margin {margin}")
         else:
             starred = True
             if not ok:
@@ -187,12 +188,8 @@ def _verify_row(args: tuple[int, tuple[str, ...]]) -> dict:
             raise ValueError(f"unknown check {check!r}")
         row["checks"][check] = {"status": status, "notes": notes}
     row["bounds"] = {
-        name: {
-            "ok": report.verdicts[name],
-            "asserted": report.asserted[name],
-            "margin": None if report.margins[name] is None else str(report.margins[name]),
-        }
-        for name in report.verdicts
+        name: {"ok": ok, "asserted": asserted, "margin": None if margin is None else str(margin)}
+        for name, (ok, asserted, margin) in report.items()
     }
     row["failed"] = any(entry["status"] == "fail" for entry in row["checks"].values())
     return row
@@ -289,15 +286,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def _table_row(p: int) -> dict:
     profile = lambda_profile(p)
-    tv = theorem_interval_check(p, profile.size)
+    theorem = theorem_interval_check(p, profile.size)
     return {
         "p": p,
         "size": str(profile.size),
         "c": profile.c,
         "mcdowell_upper": str(mcdowell_upper(p)),
         "mcspirit_ono": str(mcspirit_ono_bound(p)),
-        "theorem_lower_ok": tv.lower_ok,
-        "theorem_upper_ok": tv.upper_ok,
+        "theorem_lower_ok": theorem["theorem_lower"].ok,
+        "theorem_upper_ok": theorem["theorem_upper"].ok,
         "ratio_24size_p6": _decimal_ratio(24 * profile.size, p**6),
     }
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -45,31 +46,28 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(cols)
 
 
-def hook_lengths(lam: Partition) -> list[int]:
+def _hooks(lam: Partition) -> Iterator[int]:
     """Hook lengths of every cell, in row-major order.
 
     The hook of cell (i, j) counts the cell itself, the cells to its right
     and the cells below it: parts[i] - j + conj[j] - i + 1 with 1-based i, j.
     """
-    parts = lam.parts
     conj = conjugate(lam).parts
-    out: list[int] = []
-    for i, row in enumerate(parts, start=1):
-        out.extend(row - j + conj[j - 1] - i + 1 for j in range(1, row + 1))
-    return out
+    for i, row in enumerate(lam.parts, start=1):
+        for j in range(1, row + 1):
+            yield row - j + conj[j - 1] - i + 1
+
+
+def hook_lengths(lam: Partition) -> list[int]:
+    """Hook lengths of every cell, in row-major order (see _hooks)."""
+    return list(_hooks(lam))
 
 
 def is_p_core(lam: Partition, p: int) -> bool:
-    """True when no hook length is divisible by p."""
+    """True when no hook length is divisible by p; stops at the first that is."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    parts = lam.parts
-    conj = conjugate(lam).parts
-    for i, row in enumerate(parts, start=1):
-        for j in range(1, row + 1):
-            if (row - j + conj[j - 1] - i + 1) % p == 0:
-                return False
-    return True
+    return all(hook % p for hook in _hooks(lam))
 
 
 def is_p_regular(lam: Partition, p: int) -> bool:

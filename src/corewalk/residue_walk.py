@@ -393,8 +393,8 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
     (with its overflow bound), and only the first failing label is evaluated
     again in Python ints, to name its violation.  The replay is O(p) with one
     inverse table and O(_BLOCK) temporaries.  The visited vertices, up to
-    where the replay stops, are recorded only when the whole walk has fewer
-    than vertex_cap of them.
+    where the replay stops, are recorded only when there are at most
+    vertex_cap of them.
     """
     p, m, y = profile.p, profile.m, profile.y
     inv = inverse_range(p - 1, p)
@@ -421,7 +421,9 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
             else:
                 violation = f"walk hits 0 inside a label-{i} segment from {p - 1}"
     vertices: Optional[list[int]] = None
-    if _row_sums(m, 1, p, p)[0] + 1 <= vertex_cap:
+    # every label before i passed, so 0 <= m[j] < 2p there, and walked < p:
+    # the recorded count is below 2p^2 < 2^63 for p < _FAST_P_LIMIT = 2^31
+    if int(m[1:i].sum()) + walked + 1 <= vertex_cap:
         steps = np.repeat(np.arange(1, i + 1, dtype=np.int64), np.append(m[1:i], walked))
         vertices = [0] + (np.cumsum(steps) % p).tolist()
     return WalkValidation(violation is None, violation, vertices, v if violation is None else None)

@@ -121,9 +121,9 @@ def test_criterion_5_c_bounds():
     ok = True
     for p in primes_in_range(17, 10**4):
         cb = c_bounds_check(p, lambda_profile(p))
-        ok = ok and cb.c_upper_ok
+        ok = ok and cb["c_upper"].ok
         if p >= 257:
-            ok = ok and cb.c18_ok is True
+            ok = ok and cb["c18"].ok is True
         if not ok:
             break
     elapsed = time.perf_counter() - t0
@@ -143,7 +143,7 @@ def test_criterion_6_theorem_at_scale():
     for p in primes:
         prof = lambda_profile(p)
         tv = theorem_interval_check(p, prof.size)
-        ok = ok and tv.lower_ok and tv.upper_ok and tv.in_stated_range
+        ok = ok and tv["theorem_lower"].ok and tv["theorem_upper"].ok and tv["theorem_lower"].asserted
         ok = ok and prof.size <= mcdowell_upper(p) <= mcspirit_ono_bound(p)
         ok = ok and failed_assertions(bounds_report(p, prof)) == []
         if not ok:

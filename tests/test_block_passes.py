@@ -36,14 +36,13 @@ PRIMES_TO_600 = primes_in_range(3, 600)
 
 def reference_validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
     """The scalar replay validate_walk used before its block pass, verbatim
-    except that the inverse table comes from mod_inverse."""
+    except that the inverse table comes from mod_inverse and the vertex cap
+    counts the vertices the replay visits before it stops."""
     p = profile.p
     m = profile.m
     y = profile.y
     inv = [0] + [mod_inverse(k, p) for k in range(1, p)]
-    total = int(m[1:].sum())
-    vertices: Optional[list[int]] = [0] if total + 1 <= vertex_cap else None
-    state = {"v": 0}
+    state: dict = {"v": 0, "vertices": [0] if vertex_cap >= 1 else None}
 
     def advance(label: int, k: int) -> Optional[str]:
         v = state["v"]
@@ -52,14 +51,17 @@ def reference_validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -
         steps_to_zero = (p - v) * inv[label] % p or p
         if k >= steps_to_zero:
             return f"walk hits 0 inside a label-{label} segment from {v}"
-        if vertices is not None:
-            vertices.extend((v + j * label) % p for j in range(1, k + 1))
+        recorded = state["vertices"]
+        if recorded is not None and len(recorded) + k > vertex_cap:
+            state["vertices"] = None
+        elif recorded is not None:
+            recorded.extend((v + j * label) % p for j in range(1, k + 1))
         state["v"] = (v + k * label) % p
         return None
 
     def done(violation: Optional[str]) -> WalkValidation:
         final = state["v"] if violation is None else None
-        return WalkValidation(violation is None, violation, vertices, final)
+        return WalkValidation(violation is None, violation, state["vertices"], final)
 
     m1 = int(m[1])
     if m1 < p - 1:

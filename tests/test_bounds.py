@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corewalk.bounds import (
+    STATED_C18_MIN_P,
+    STATED_C_LOWER_MIN_P,
+    STATED_C_UPPER_MIN_P,
+    STATED_THEOREM_MIN_P,
+    Bound,
     bounds_report,
     c_bounds_check,
     failed_assertions,
@@ -77,46 +82,47 @@ def test_size_sits_inside_both_polynomial_bounds(p):
 
 def test_theorem_interval_frozen():
     tv = theorem_interval_check(5, 198)
-    assert tv.lower_ok and tv.upper_ok
-    assert not tv.in_stated_range
+    assert tv["theorem_lower"].ok and tv["theorem_upper"].ok
+    assert not tv["theorem_lower"].asserted and not tv["theorem_upper"].asserted
     big = theorem_interval_check(10**6 + 3, lambda_profile(10**6 + 3).size)
-    assert big.lower_ok and big.upper_ok
-    assert big.in_stated_range
+    assert big["theorem_lower"].ok and big["theorem_upper"].ok
+    assert big["theorem_lower"].asserted and big["theorem_upper"].asserted
 
 
 def test_theorem_interval_detects_fabricated_sizes():
     p = 10**6 + 3
     too_small = theorem_interval_check(p, 0)
-    assert not too_small.lower_ok
+    assert not too_small["theorem_lower"].ok
     too_large = theorem_interval_check(p, p**6 // 24)
-    assert not too_large.upper_ok
+    assert not too_large["theorem_upper"].ok
 
 
 def test_theorem_margins_are_exact_integers():
     tv = theorem_interval_check(5, 198)
     big_l = 5**6 - 24 * 198
-    assert tv.margin_lower == 576 * 5**11 - big_l * abs(big_l)
-    assert tv.margin_upper == (25 * big_l) * abs(25 * big_l) - 9 * 5**11
+    assert tv["theorem_lower"].margin == 576 * 5**11 - big_l * abs(big_l)
+    assert tv["theorem_upper"].margin == (25 * big_l) * abs(25 * big_l) - 9 * 5**11
 
 
 def test_c_bounds_frozen():
     prof = lambda_profile(17)
     cb = c_bounds_check(17, prof)
     assert prof.c == 80
-    assert cb.c_upper_ok
-    assert cb.c_upper_asserted
-    assert cb.c18_ok is None  # floor(17/18) = 0
-    assert not cb.c18_asserted
-    assert not cb.c_lower_asserted
+    assert cb["c_upper"].ok
+    assert cb["c_upper"].asserted
+    assert cb["c18"].ok is None  # floor(17/18) = 0
+    assert cb["c18"].margin is None
+    assert not cb["c18"].asserted
+    assert not cb["c_lower"].asserted
 
 
 @pytest.mark.parametrize("p", primes_in_range(17, 300))
 def test_c_bounds_hold_in_small_range(p):
     cb = c_bounds_check(p, lambda_profile(p))
-    assert cb.c_upper_ok
-    assert cb.c_lower_ok
+    assert cb["c_upper"].ok
+    assert cb["c_lower"].ok
     if p // 18 >= 1:
-        assert cb.c18_ok is not None
+        assert cb["c18"].ok is not None
 
 
 def test_c_bounds_reject_mismatched_profile():
@@ -124,18 +130,44 @@ def test_c_bounds_reject_mismatched_profile():
         c_bounds_check(11, lambda_profile(7))
 
 
-def test_bounds_report_shape():
-    p = 11
-    report = bounds_report(p, lambda_profile(p))
-    expected_keys = {
-        "theorem_lower", "theorem_upper", "eq1_upper", "bound_chain",
-        "mcspirit_ono_upper", "construction_comparison", "c_upper", "c_lower", "c18",
+REPORT_KEYS = [
+    "theorem_lower", "theorem_upper", "eq1_upper", "bound_chain",
+    "mcspirit_ono_upper", "construction_comparison", "c_upper", "c_lower", "c18",
+]
+STRICT_KEYS = {"theorem_lower", "theorem_upper", "c_upper", "c_lower", "c18"}
+
+
+def _stated(p: int) -> dict[str, bool]:
+    theorem = p > STATED_THEOREM_MIN_P
+    return {
+        "theorem_lower": theorem,
+        "theorem_upper": theorem,
+        "eq1_upper": True,
+        "bound_chain": True,
+        "mcspirit_ono_upper": True,
+        "construction_comparison": False,
+        "c_upper": p >= STATED_C_UPPER_MIN_P,
+        "c_lower": p > STATED_C_LOWER_MIN_P,
+        "c18": p // 18 >= 1 and p > STATED_C18_MIN_P,
     }
-    assert set(report.verdicts) == expected_keys
-    assert set(report.margins) == expected_keys
-    assert set(report.asserted) == expected_keys
-    assert not report.asserted["construction_comparison"]
-    assert failed_assertions(report) == []
+
+
+def test_bounds_report_shape():
+    for p in primes_in_range(3, 300) + [10**6 + 3]:
+        report = bounds_report(p, lambda_profile(p))
+        assert list(report) == REPORT_KEYS
+        assert all(isinstance(bound, Bound) for bound in report.values())
+        stated = _stated(p)
+        for name, (ok, asserted, margin) in report.items():
+            if margin is None:
+                assert ok is None, (p, name)
+            elif name in STRICT_KEYS:
+                assert ok is (margin > 0), (p, name)
+            else:
+                assert ok is (margin >= 0), (p, name)
+            assert asserted is stated[name], (p, name)
+        assert (report["c18"].margin is None) == (p < 18)
+        assert failed_assertions(report) == []
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_200)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -97,6 +98,26 @@ def test_verify_json_layout(capsys):
     assert isinstance(row["size"], str)
     assert row["checks"]["theorem"]["status"] == "pass*"
     assert row["bounds"]["construction_comparison"]["asserted"] is False
+
+
+def test_verify_reports_asserted_failures(capsys, monkeypatch):
+    # a size of p^6/24 breaks the theorem's upper bound (not asserted at
+    # p = 17) and McDowell's and McSpirit-Ono's bounds (always asserted)
+    honest = cli.lambda_profile
+
+    def inflated(p, classification=None):
+        return dataclasses.replace(honest(p, classification), size=p**6 // 24)
+
+    monkeypatch.setattr(cli, "lambda_profile", inflated)
+    code, out, _ = run(capsys, "verify", "--min", "17", "--max", "17", "--checks", "theorem,eq1,c-bounds")
+    assert code == 1
+    assert out.splitlines() == [
+        "p=17 theorem=fail* eq1=fail c-bounds=pass*",
+        "  note[theorem]: theorem_upper does not hold (outside its stated range, not asserted)",
+        "  note[eq1]: eq1_upper fails, margin -217256",
+        "  note[eq1]: mcspirit_ono_upper fails, margin -111396",
+        "checked 1 primes in [17, 17]: 1 primes with asserted failures",
+    ]
 
 
 def test_oracle_walks(capsys):

@@ -289,6 +289,19 @@ def test_validate_walk_vertex_cap_is_exact_for_huge_row_counts():
     assert wv.vertices is None
 
 
+def test_validate_walk_vertex_cap_counts_the_recorded_walk():
+    # a last row that makes sum(m) = 10 fails only at label p-1, after
+    # 966130 recorded edges: the cap must count those, not sum(m)
+    p = 1009
+    prof = lambda_profile(p)
+    m = prof.m.copy()
+    m[p - 1] = 10 - int(m[1 : p - 1].sum())
+    wv = validate_walk(dataclasses.replace(prof, m=m))
+    assert not wv.ok
+    assert wv.violation == f"label-{p - 1} block is shorter than the return to p-1"
+    assert wv.vertices is None
+
+
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_structural_checks_pass_on_honest_profiles(p):
     cls = classify_residues(p)
