@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -419,7 +420,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenProcessPool) as exc:  # a dead --workers child exits 2 too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -17,8 +17,9 @@ import numpy as np
 # size reduction splits each runner count b_i <= sum(m) < p^2 < 2^62 into
 # 16-bit limbs; a limb product is below 2^32, so a limb sum over fewer than
 # 2^31 terms (one block of _BLOCK runners) stays below 2^63.  Counts outside
-# 0 <= b_i < 2^63 are refused with ValueError (BeadMultiplicities).  Witness
-# entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares do not.
+# 0 <= b_i < 2^63 are refused with ValueError (size_from_bead_multiplicities).
+# Witness entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares
+# do not.
 _FAST_P_LIMIT = 1 << 31
 assert math.isqrt(_FAST_P_LIMIT - 1) < 1 << 16
 

@@ -1,10 +1,11 @@
 """Brute-force cross-checks for the closed-form construction.
 
-Three independent routes: exhaustive enumeration of all valid walks (tiny
+Four independent routes: exhaustive enumeration of all valid walks (tiny
 p), a longest-walk dynamic program with exact tie counting (moderate p),
-and exhaustive search over all p-core p'-partitions up to a size cap.  None
-of them shares code with the closed-form pipeline beyond modarith, so a
-bug on either side shows up as a loud disagreement.
+exhaustive search over all p-core p'-partitions up to a size cap, and
+abacus displays read bead by bead (runner counts to explicit partitions).
+None of them shares code with the closed-form pipeline beyond modarith, so
+a bug on either side shows up as a loud disagreement.
 """
 
 from __future__ import annotations
@@ -39,6 +40,29 @@ class PartitionSearchResult:
     partition: Partition
     size: int
     num_maximal: int
+
+
+@dataclass(frozen=True)
+class AbacusDisplay:
+    """Beads on p runners: position q sits on runner q mod p in row q // p + 1.
+
+    Position 0 is always a gap, so N parts are the beads part_i + N - i (the
+    first-column hook lengths), and each bead's part counts the gaps before it.
+    """
+
+    p: int
+    beads: frozenset[int]
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError(f"need at least 2 runners, got {self.p}")
+        if not isinstance(self.beads, frozenset):
+            object.__setattr__(self, "beads", frozenset(self.beads))
+        for q in self.beads:
+            if not isinstance(q, int) or q < 0:
+                raise ValueError(f"bead positions must be nonnegative integers, got {q!r}")
+        if 0 in self.beads:
+            raise ValueError("position 0 must be a gap")
 
 
 def enumerate_valid_walks(p: int, visitor: Callable[[WalkCandidate], None], max_p: int = MAX_ENUM_PRIME) -> int:
@@ -267,3 +291,41 @@ def exhaustive_partition_search(
     if require_unique and len(best) > 1:
         raise UniquenessError(f"{len(best)} maximal candidates of size {best_size} at p={p}")
     return PartitionSearchResult(Partition(max(best)), best_size, len(best))
+
+
+def partition_to_abacus(lam: Partition, p: int) -> AbacusDisplay:
+    """Canonical display with one bead per part."""
+    n = len(lam.parts)
+    return AbacusDisplay(p, frozenset(part + n - i for i, part in enumerate(lam.parts, start=1)))
+
+
+def abacus_to_partition(display: AbacusDisplay) -> Partition:
+    """Partition read off a display: bead at q yields part q - #{beads below q}.
+
+    Since position 0 is a gap, every bead has at least one gap before it and
+    all emitted parts are positive.
+    """
+    ordered = sorted(display.beads, reverse=True)
+    k = len(ordered)
+    return Partition(tuple(q - (k - 1 - idx) for idx, q in enumerate(ordered)))
+
+
+def is_top_aligned(display: AbacusDisplay) -> bool:
+    """True when on every runner the beads fill rows 1..count with no gaps.
+
+    That holds exactly when every bead below row 1 has a bead right above it.
+    """
+    return all(q < display.p or q - display.p in display.beads for q in display.beads)
+
+
+def bead_multiplicities(display: AbacusDisplay) -> list[int]:
+    """Bead counts b_1..b_{p-1} per runner; requires a top-aligned display."""
+    if not is_top_aligned(display):
+        raise ValueError("display is not top-aligned")
+    p = display.p
+    counts = [0] * p
+    for q in display.beads:
+        counts[q % p] += 1
+    if counts[0]:
+        raise ValueError("beads on runner 0 correspond to parts divisible by p")
+    return counts[1:]

@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corewalk.abacus import (
+from corewalk.oracle import (
     AbacusDisplay,
-    BeadMultiplicities,
     abacus_to_partition,
     bead_multiplicities,
     is_top_aligned,
     partition_to_abacus,
-    size_from_bead_multiplicities,
 )
 from corewalk.partitions import Partition, is_p_core
+from corewalk.residue_walk import size_from_bead_multiplicities
 
 partitions = st.lists(st.integers(1, 25), max_size=10).map(
     lambda xs: Partition(tuple(sorted(xs, reverse=True)))
@@ -56,9 +55,9 @@ def test_alignment_frozen():
 
 def test_bead_multiplicities_frozen():
     disp = AbacusDisplay(3, frozenset({1, 2, 4, 5, 8}))
-    bm = bead_multiplicities(disp)
-    assert bm.b.tolist() == [2, 3]
-    assert size_from_bead_multiplicities(bm) == 10
+    b = bead_multiplicities(disp)
+    assert b == [2, 3]
+    assert size_from_bead_multiplicities(3, b) == 10
 
 
 def test_bead_multiplicities_requires_alignment():
@@ -75,7 +74,7 @@ def test_size_formula_matches_materialized_partition(p, data):
     disp = AbacusDisplay(p, beads)
     assert is_top_aligned(disp)
     lam = abacus_to_partition(disp)
-    assert lam.size == size_from_bead_multiplicities(BeadMultiplicities(p, b))
+    assert lam.size == size_from_bead_multiplicities(p, b)
     assert is_p_core(lam, p)
 
 
@@ -88,6 +87,6 @@ def test_display_validation():
 
 def test_multiplicities_validation():
     with pytest.raises(ValueError):
-        BeadMultiplicities(3, (1, 2, 3))
+        size_from_bead_multiplicities(3, (1, 2, 3))
     with pytest.raises(ValueError):
-        BeadMultiplicities(3, (1, -1))
+        size_from_bead_multiplicities(3, (1, -1))

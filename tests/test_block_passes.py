@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corewalk import modarith
-from corewalk.abacus import BeadMultiplicities, size_from_bead_multiplicities
 from corewalk.modarith import _FAST_P_LIMIT, inverse_range, mod_inverse, primes_in_range
 from corewalk.oracle import enumerate_valid_walks, longest_walk_dp
 from corewalk.residue_walk import (
@@ -28,6 +27,7 @@ from corewalk.residue_walk import (
     WalkValidation,
     _first_failing_label,
     lambda_profile,
+    size_from_bead_multiplicities,
     validate_walk,
 )
 
@@ -182,7 +182,7 @@ def test_limb_size_matches_python_ints(data):
     b = data.draw(st.lists(st.integers(0, (1 << 62) - 1), min_size=n, max_size=n))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modarith, "_BLOCK", 64)
-        got = size_from_bead_multiplicities(BeadMultiplicities(n + 1, b))
+        got = size_from_bead_multiplicities(n + 1, b)
     assert got == reference_size(n + 1, b)
 
 
@@ -190,7 +190,7 @@ def test_limb_size_at_the_largest_counts_across_a_block_edge():
     b = [(1 << 63) - 1] * 65 + [0, 1, 0xFFFF, 1 << 48]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modarith, "_BLOCK", 64)
-        got = size_from_bead_multiplicities(BeadMultiplicities(len(b) + 1, b))
+        got = size_from_bead_multiplicities(len(b) + 1, b)
     assert got == reference_size(len(b) + 1, b)
 
 
@@ -211,16 +211,7 @@ def test_limb_size_matches_python_ints_at_p_1000003():
 )
 def test_counts_outside_the_bound_are_refused(b):
     with pytest.raises(ValueError):
-        BeadMultiplicities(3, b)
-
-
-def test_multiplicities_are_a_read_only_int64_array():
-    b = np.array([2, 3], dtype=np.int64)
-    bm = BeadMultiplicities(3, b)
-    assert bm.b.dtype == np.int64
-    with pytest.raises(ValueError):
-        bm.b[0] = 5
-    assert b.flags.writeable
+        size_from_bead_multiplicities(3, b)
 
 
 @pytest.mark.parametrize("block", [64, 1 << 14])
@@ -278,7 +269,7 @@ def test_block_pass_temporaries_do_not_grow_with_p():
         inv_bytes = inverse_range(p - 1, p).nbytes
         assert validate_walk(prof).ok
         extra["walk"].append(_peak_traced_bytes(lambda: validate_walk(prof)) - inv_bytes)
-        bm = BeadMultiplicities(p, prof.b[1:])
-        extra["size"].append(_peak_traced_bytes(lambda: size_from_bead_multiplicities(bm)))
+        b = prof.b[1:]
+        extra["size"].append(_peak_traced_bytes(lambda: size_from_bead_multiplicities(p, b)))
     for name, (small, large) in extra.items():
         assert abs(large - small) < 1 << 20, (name, small, large)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -249,6 +251,25 @@ def test_worker_pool_is_capped_by_items_and_cores(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run(capsys, "table", "--min", "3", "--max", "7", "--workers", "5000")[0] == 0
     assert sizes == [8, 3]  # an unknown core count is taken as one: no pool
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="pool children must inherit the patch")
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_dead_worker_exits_2(capsys, monkeypatch, command):
+    # a pool child that dies (say, OOM-killed) is environment trouble, not a failed assertion
+    parent = os.getpid()
+    real = cli.lambda_profile
+
+    def dies_at_101(p, classification=None):
+        if p == 101 and os.getpid() != parent:
+            os._exit(1)
+        return real(p, classification)
+
+    monkeypatch.setattr(cli, "lambda_profile", dies_at_101)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, command, "--min", "3", "--max", "200", "--workers", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_out_of_memory_exits_cleanly(capsys, monkeypatch):

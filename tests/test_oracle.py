@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+from corewalk import oracle
 from corewalk.errors import UniquenessError
 from corewalk.modarith import primes_in_range
 from corewalk.oracle import (
@@ -156,3 +159,17 @@ def test_empty_cap_returns_empty_partition():
     r = exhaustive_partition_search(3, 0)
     assert r.partition == Partition(())
     assert r.size == 0
+
+
+def test_oracle_stays_apart_from_the_closed_form_pipeline():
+    # the routes check the pipeline, so they may not reuse it; lambda_profile
+    # is what compare_profile checks against and what the benchmark wraps here
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = [node for node in imports if isinstance(node, ast.ImportFrom) and node.level]
+    assert {node.module for node in relative} <= {"errors", "modarith", "partitions", "residue_walk"}
+    taken = [alias.name for node in relative if node.module == "residue_walk" for alias in node.names]
+    assert taken == ["lambda_profile"]
+    absolute = [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.split(".")[0] == "corewalk"]

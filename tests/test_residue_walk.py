@@ -382,14 +382,16 @@ def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, exp
         # longer equals p (p-1) - sum m - c, while m_i = m_{p-i} holds inside
         (1, 0, ["bead total identity fails", "gap total does not equal c + 1", "gap prefix symmetry fails"]),
         # one more label-2 row and c one lower: the gap total and m_1 - m_{p-1}
-        # still match, but m_2 != m_{p-2}
-        (2, -1, ["bead total identity fails", "gap prefix symmetry fails"]),
+        # still match, and m_2 != m_{p-2} is left to check_symmetry
+        (2, -1, ["bead total identity fails"]),
     ],
 )
 def test_sum_identity_gap_prefix_reads_the_ends_and_the_mirror(label, dc, expected):
     prof = lambda_profile(11)
     bad = dataclasses.replace(_tampered(prof, label, 1), c=prof.c + dc)
     assert check_sum_identity(bad) == expected
+    # the interior mirror m_i = m_{p-i} (2 <= i <= p-2) is check_symmetry's row-count symmetry
+    assert check_symmetry(bad) == ([] if label == 1 else [f"row count symmetry fails at i={label}"])
 
 
 @pytest.mark.parametrize("block", [7, 1 << 14])
