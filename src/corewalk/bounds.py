@@ -149,11 +149,6 @@ def bounds_report(p: int, profile: LambdaProfile) -> dict[str, Bound]:
     }
 
 
-def failed_assertions(report: dict[str, Bound]) -> list[str]:
-    """Names of checks that are both asserted and false."""
-    return [name for name, bound in report.items() if bound.asserted and bound.ok is False]
-
-
 def totient_sieve(n: int) -> list[int]:
     """phi(0..n) by the standard multiplicative sieve."""
     if n < 0:

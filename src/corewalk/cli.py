@@ -56,18 +56,11 @@ RATIO_DIGITS = 12
 
 
 def _decimal_ratio(num: int, den: int, digits: int = RATIO_DIGITS) -> str:
-    """num / den truncated to a fixed number of digits, by long division."""
+    """num / den truncated toward zero to a fixed number of digits."""
     if den <= 0:
         raise ValueError("denominator must be positive")
-    if num < 0:
-        return "-" + _decimal_ratio(-num, den, digits)
-    q, r = divmod(num, den)
-    frac = []
-    for _ in range(digits):
-        r *= 10
-        d, r = divmod(r, den)
-        frac.append(str(d))
-    return f"{q}." + "".join(frac)
+    q, frac = divmod(abs(num) * 10**digits // den, 10**digits)
+    return f"{'-' if num < 0 else ''}{q}.{frac:0{digits}d}"
 
 
 def _decimal_fraction(value: Fraction, digits: int = 9) -> str:

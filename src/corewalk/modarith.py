@@ -1,6 +1,6 @@
 """Exact elementary number theory helpers.
 
-Everything here is integer-only: modular inverses (single and batched) and
+Everything here is integer-only: a batched table of modular inverses and
 deterministic primality testing.  No floating point is used anywhere, so
 results are exact at any magnitude.
 """
@@ -26,16 +26,6 @@ assert math.isqrt(_FAST_P_LIMIT - 1) < 1 << 16
 # Vectorized passes take this many labels at a time, so their temporaries
 # stay O(_BLOCK) whatever p is.
 _BLOCK = 1 << 14
-
-
-def mod_inverse(a: int, p: int) -> int:
-    """Inverse of a modulo p, normalized to 1..p-1."""
-    if p < 2:
-        raise ValueError(f"modulus must be at least 2, got {p}")
-    try:
-        return pow(a, -1, p)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {p}") from None
 
 
 def label_blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:

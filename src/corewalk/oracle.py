@@ -1,9 +1,10 @@
 """Brute-force cross-checks for the closed-form construction.
 
-Four independent routes: exhaustive enumeration of all valid walks (tiny
+Five independent routes: exhaustive enumeration of all valid walks (tiny
 p), a longest-walk dynamic program with exact tie counting (moderate p),
-exhaustive search over all p-core p'-partitions up to a size cap, and
-abacus displays read bead by bead (runner counts to explicit partitions).
+a direct search for each label's minimal pair, exhaustive search over all
+p-core p'-partitions up to a size cap, and abacus displays read bead by
+bead (runner counts to explicit partitions).
 None of them shares code with the closed-form pipeline beyond modarith, so
 a bug on either side shows up as a loud disagreement.
 """
@@ -218,6 +219,36 @@ def longest_walk_dp(p: int, compare_profile: bool = True) -> LongestWalkResult:
         if length != expected:
             raise VerificationError(f"longest walk {length} != profile total {expected} at p={p}")
     return LongestWalkResult(length, count, tuple(mvec[1:]))
+
+
+def minimal_pair_direct(i: int, p: int) -> tuple[int, int]:
+    """Minimal admissible pair (x, y) for the (i, i+1) excursion, by increasing sum.
+
+    The caps are x <= inv(i), the steps from p-1 to 0 along label i, and
+    y <= inv(-(i+1)), the steps from 0 to p-1 along label i+1.  For each
+    candidate sum t there is exactly one pair x = (i+1) t, y = -i t mod p
+    with x + y = t mod p, so scanning t upward and accepting the first pair
+    with x + y = t under both caps returns the minimum.  The scan provably
+    terminates by t = x_max + y_max, where the candidate is (x_max, y_max).
+    """
+    require_odd_prime(p)
+    if not 1 <= i <= p - 2:
+        raise ValueError(f"label must lie in 1..{p - 2}, got {i}")
+    x_max, y_max = pow(i, -1, p), pow(-(i + 1), -1, p)
+    x_step = (i + 1) % p
+    y_step = (-i) % p
+    x = x_step
+    y = y_step
+    for t in range(2, x_max + y_max + 1):
+        x += x_step
+        if x >= p:
+            x -= p
+        y += y_step
+        if y >= p:
+            y -= p
+        if x + y == t and x <= x_max and y <= y_max:
+            return x, y
+    raise VerificationError(f"no admissible pair found for i={i}, p={p}")
 
 
 def iter_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:

@@ -46,7 +46,7 @@ def conjugate(lam: Partition) -> Partition:
     return Partition(cols)
 
 
-def _hooks(lam: Partition) -> Iterator[int]:
+def hook_lengths(lam: Partition) -> Iterator[int]:
     """Hook lengths of every cell, in row-major order.
 
     The hook of cell (i, j) counts the cell itself, the cells to its right
@@ -58,16 +58,11 @@ def _hooks(lam: Partition) -> Iterator[int]:
             yield row - j + conj[j - 1] - i + 1
 
 
-def hook_lengths(lam: Partition) -> list[int]:
-    """Hook lengths of every cell, in row-major order (see _hooks)."""
-    return list(_hooks(lam))
-
-
 def is_p_core(lam: Partition, p: int) -> bool:
     """True when no hook length is divisible by p; stops at the first that is."""
     if p < 1:
         raise ValueError(f"p must be positive, got {p}")
-    return all(hook % p for hook in _hooks(lam))
+    return all(hook % p for hook in hook_lengths(lam))
 
 
 def is_p_regular(lam: Partition, p: int) -> bool:
@@ -80,15 +75,3 @@ def is_p_regular(lam: Partition, p: int) -> bool:
 def format_partition(lam: Partition) -> str:
     """Comma-separated decreasing parts; the empty partition is ''."""
     return ",".join(str(part) for part in lam.parts)
-
-
-def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition. Rejects anything not weakly decreasing."""
-    stripped = text.strip()
-    if not stripped:
-        return Partition(())
-    try:
-        parts = tuple(int(tok) for tok in stripped.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad partition text {text!r}") from exc
-    return Partition(parts)

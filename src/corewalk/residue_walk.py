@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ClassificationError, VerificationError
-from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, mod_inverse, require_odd_prime
+from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, require_odd_prime
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
@@ -35,19 +35,6 @@ S_CLASS = 1
 T_CLASS = 2
 
 DEFAULT_MAX_PARTS = 20_000_000
-
-
-class StepBounds(NamedTuple):
-    i: int
-    x_max: int
-    y_max: int
-
-
-@dataclass(frozen=True)
-class MinimalPairRecord:
-    i: int
-    x: int
-    y: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,44 +74,6 @@ class WalkValidation:
     violation: Optional[str]
     vertices: Optional[list[int]]
     final_residue: Optional[int]
-
-
-def step_bounds(i: int, p: int) -> StepBounds:
-    """Caps for the (i, i+1) excursion: x_max = inv(i), y_max = inv(-(i+1)).
-
-    x_max counts the steps from p-1 to 0 along label i, y_max the steps from
-    0 to p-1 along label i+1.
-    """
-    require_odd_prime(p)
-    if not 1 <= i <= p - 2:
-        raise ValueError(f"label must lie in 1..{p - 2}, got {i}")
-    return StepBounds(i, mod_inverse(i, p), mod_inverse(-(i + 1), p))
-
-
-def minimal_pair_direct(i: int, p: int) -> MinimalPairRecord:
-    """Reference search for the minimal admissible pair, by increasing sum.
-
-    For each candidate sum t there is exactly one pair x = (i+1) t,
-    y = -i t mod p with x + y = t mod p, so scanning t upward and accepting
-    the first pair with x + y = t, x <= x_max, y <= y_max returns the
-    minimum.  The scan provably terminates by t = x_max + y_max, where the
-    candidate is (x_max, y_max) itself.
-    """
-    sb = step_bounds(i, p)
-    x_step = (i + 1) % p
-    y_step = (-i) % p
-    x = x_step
-    y = y_step
-    for t in range(2, sb.x_max + sb.y_max + 1):
-        x += x_step
-        if x >= p:
-            x -= p
-        y += y_step
-        if y >= p:
-            y -= p
-        if x + y == t and x <= sb.x_max and y <= sb.y_max:
-            return MinimalPairRecord(i, x, y)
-    raise VerificationError(f"no admissible pair found for i={i}, p={p}")
 
 
 class _PairTables(NamedTuple):
@@ -280,10 +229,11 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     if p >= 5:  # in place, with no p-length temporary
         np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
         np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
-    c = int(np.sum(x[1 : p - 1]) + np.sum(y[1 : p - 1]))
-
     _check(int(x[1 : p - 1].min()) >= 1 and int(y[1 : p - 1].min()) >= 1, "pair positivity", p)
     _check(int(m[1:].min()) >= 0, "nonnegative row counts", p)
+    # 1 <= x, y and m[i] = p - y[i-1] - x[i] >= 0 put x[2..p-2] and y[1..p-3] below
+    # p, so their int64 sums stay below p^2 < 2^62; the two ends join as ints
+    c = int(np.sum(x[2 : p - 1]) + np.sum(y[1 : p - 2])) + int(x[1]) + int(y[p - 2])
 
     size = size_from_bead_multiplicities(p, np.cumsum(m[1:]))
     profile = LambdaProfile(p, m, x, y, c, size)
@@ -521,8 +471,15 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
         fraction, sum_form = cls_.kind[lo:hi] == S_CLASS, cls_.kind[lo:hi] == T_CLASS
         wr, ws = cls_.wr[lo:hi].astype(np.int64), cls_.ws[lo:hi].astype(np.int64)
         mx, rs = np.maximum(wr, ws), wr + ws
-        t = prof.x[lo:hi] + prof.y[lo:hi]
-        prod = mx * t  # classified pairs lie in 0..p-1 < 2^31 and mx < 2^16: below 2^48
+        x, y = prof.x[lo:hi], prof.y[lo:hi]
+        t = x + y
+        wrapped = (t < x) != (y < 0)  # the int64 sum overflowed: t moved against y's sign
+        if wrapped.any():
+            t[wrapped] = np.where(y[wrapped] < 0, -1, 2 * p)
+        # with r, s <= isqrt(p) every threshold lies in [0, 2p], so clipping the
+        # exact sum to [-1, 2p] changes no verdict; then mx t < 2^16 2^32 = 2^48
+        np.clip(t, -1, 2 * p, out=t)
+        prod = mx * t
         checks = (
             ("fraction-form lower bound fails", fraction & (prod <= p)),
             ("fraction-form upper bound fails", fraction & (prod >= p + mx * mx - mx)),

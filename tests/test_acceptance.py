@@ -11,7 +11,6 @@ from fractions import Fraction
 from corewalk.bounds import (
     bounds_report,
     c_bounds_check,
-    failed_assertions,
     mcdowell_upper,
     mcspirit_ono_bound,
     theorem_interval_check,
@@ -21,14 +20,13 @@ from corewalk.bounds import (
 from corewalk.cli import main
 from corewalk.errors import ClassificationError
 from corewalk.modarith import primes_in_range
-from corewalk.oracle import exhaustive_partition_search, longest_walk_dp, max_size_walk
+from corewalk.oracle import exhaustive_partition_search, longest_walk_dp, max_size_walk, minimal_pair_direct
 from corewalk.residue_walk import (
     check_st_lemmas,
     check_sum_identity,
     check_symmetry,
     classify_residues,
     lambda_profile,
-    minimal_pair_direct,
     profile_to_partition,
     validate_walk,
 )
@@ -86,8 +84,7 @@ def test_criterion_3_fast_path_correctness():
         for p in primes_in_range(3, 2000):
             cls = classify_residues(p)
             for i in range(1, p - 1):
-                direct = minimal_pair_direct(i, p)
-                if (cls.x[i], cls.y[i]) != (direct.x, direct.y):
+                if (cls.x[i], cls.y[i]) != minimal_pair_direct(i, p):
                     ok = False
                     break
             if not ok:
@@ -145,7 +142,7 @@ def test_criterion_6_theorem_at_scale():
         tv = theorem_interval_check(p, prof.size)
         ok = ok and tv["theorem_lower"].ok and tv["theorem_upper"].ok and tv["theorem_lower"].asserted
         ok = ok and prof.size <= mcdowell_upper(p) <= mcspirit_ono_bound(p)
-        ok = ok and failed_assertions(bounds_report(p, prof)) == []
+        ok = ok and all(bound.ok is not False for bound in bounds_report(p, prof).values() if bound.asserted)
         if not ok:
             break
     elapsed = time.perf_counter() - t0

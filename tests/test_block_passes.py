@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corewalk import modarith
-from corewalk.modarith import _FAST_P_LIMIT, inverse_range, mod_inverse, primes_in_range
+from corewalk.modarith import _FAST_P_LIMIT, inverse_range, primes_in_range
 from corewalk.oracle import enumerate_valid_walks, longest_walk_dp
 from corewalk.residue_walk import (
     LambdaProfile,
@@ -36,12 +36,12 @@ PRIMES_TO_600 = primes_in_range(3, 600)
 
 def reference_validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
     """The scalar replay validate_walk used before its block pass, verbatim
-    except that the inverse table comes from mod_inverse and the vertex cap
+    except that the inverse table comes from pow(k, -1, p) and the vertex cap
     counts the vertices the replay visits before it stops."""
     p = profile.p
     m = profile.m
     y = profile.y
-    inv = [0] + [mod_inverse(k, p) for k in range(1, p)]
+    inv = [0] + [pow(k, -1, p) for k in range(1, p)]
     state: dict = {"v": 0, "vertices": [0] if vertex_cap >= 1 else None}
 
     def advance(label: int, k: int) -> Optional[str]:
@@ -221,7 +221,7 @@ def test_inverse_range_at_the_supported_limit(block):
         mp.setattr(modarith, "_BLOCK", block)
         inv = inverse_range(1000, p)
     assert inv.dtype == np.int64
-    assert inv[1:].tolist() == [mod_inverse(k, p) for k in range(1, 1001)]
+    assert inv[1:].tolist() == [pow(k, -1, p) for k in range(1, 1001)]
     with pytest.raises(ValueError):
         inverse_range(1000, _FAST_P_LIMIT + 11)
 
@@ -234,7 +234,7 @@ def test_inverse_range_across_block_edges(p):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(modarith, "_BLOCK", 7)
                 inv = inverse_range(n, p)
-            assert inv.tolist() == [0] + [mod_inverse(k, p) for k in range(1, n + 1)]
+            assert inv.tolist() == [0] + [pow(k, -1, p) for k in range(1, n + 1)]
 
 
 def test_inverse_range_rejects_composite_modulus_in_a_later_block():

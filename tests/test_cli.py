@@ -2,9 +2,12 @@ import dataclasses
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corewalk import cli, oracle
 from corewalk.cli import _decimal_ratio, main
@@ -23,6 +26,15 @@ def test_decimal_ratio():
     assert _decimal_ratio(-1, 4, digits=3) == "-0.250"
     with pytest.raises(ValueError):
         _decimal_ratio(1, 0)
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40), st.sampled_from([1, 9, 12]))
+def test_decimal_ratio_truncates_toward_zero(num, den, digits):
+    text = _decimal_ratio(num, den, digits)
+    whole, frac = text.lstrip("-").split(".")
+    assert text.startswith("-") == (num < 0) and len(frac) == digits
+    shown = Fraction(int(whole + frac), 10**digits)
+    assert 0 <= Fraction(abs(num), den) - shown < Fraction(1, 10**digits)
 
 
 def test_lambda_text(capsys):

@@ -170,6 +170,45 @@ def test_oracle_stays_apart_from_the_closed_form_pipeline():
     assert {node.module for node in relative} <= {"errors", "modarith", "partitions", "residue_walk"}
     taken = [alias.name for node in relative if node.module == "residue_walk" for alias in node.names]
     assert taken == ["lambda_profile"]
+    # every route, the minimal-pair search included, runs without it but longest_walk_dp
+    routes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "minimal_pair_direct" in routes
+    readers = {name for name, node in routes.items() if "lambda_profile" in _names_read(node)}
+    assert readers == {"longest_walk_dp"}
     absolute = [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
     absolute += [node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
     assert not [name for name in absolute if name.split(".")[0] == "corewalk"]
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Names, attributes and imported names that appear anywhere under node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_pipeline_modules_hold_only_names_the_package_reaches():
+    # a public top-level name of a pipeline module must be read somewhere in
+    # the package outside its own definition; reference code lives in the oracle
+    package = Path(oracle.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    unreached = []
+    for module in ("residue_walk", "modarith", "bounds", "partitions"):
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            others = [stmt for tree in trees.values() for stmt in tree.body if stmt is not node]
+            elsewhere = set().union(*map(_names_read, others))
+            unreached += [f"{module}.{name}" for name in sorted(defined - elsewhere) if not name.startswith("_")]
+    assert unreached == []

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from corewalk import modarith, residue_walk
 from corewalk.errors import VerificationError
-from corewalk.modarith import mod_inverse, primes_in_range
+from corewalk.modarith import primes_in_range
+from corewalk.oracle import minimal_pair_direct
 from corewalk.partitions import is_p_core, is_p_regular
 from corewalk.residue_walk import (
     LambdaProfile,
@@ -21,10 +22,8 @@ from corewalk.residue_walk import (
     check_symmetry,
     classify_residues,
     lambda_profile,
-    minimal_pair_direct,
     partition_from_row_counts,
     profile_to_partition,
-    step_bounds,
     validate_walk,
 )
 
@@ -108,38 +107,35 @@ def test_witness_congruences(p):
         r, s = int(cls.wr[i]), int(cls.ws[i])
         if cls.kind[i] == S_CLASS:
             assert r != s
-            assert i == s * mod_inverse(r - s, p) % p
+            assert i == s * pow(r - s, -1, p) % p
         else:
             assert cls.kind[i] == T_CLASS
-            assert i == (p - s) * mod_inverse(r + s, p) % p
+            assert i == (p - s) * pow(r + s, -1, p) % p
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_fast_pairs_match_direct_search(p):
     cls = classify_residues(p)
     for i in range(1, p - 1):
-        direct = minimal_pair_direct(i, p)
-        assert (cls.x[i], cls.y[i]) == (direct.x, direct.y), (p, i)
+        assert (cls.x[i], cls.y[i]) == minimal_pair_direct(i, p), (p, i)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_pairs_respect_step_bounds(p):
     for i in range(1, p - 1):
-        sb = step_bounds(i, p)
-        x, y = minimal_pair_direct(i, p).x, minimal_pair_direct(i, p).y
-        assert 1 <= x <= sb.x_max
-        assert 1 <= y <= sb.y_max
+        x, y = minimal_pair_direct(i, p)
+        assert 1 <= x <= pow(i, -1, p)  # the steps from p-1 to 0 along label i
+        assert 1 <= y <= pow(-(i + 1), -1, p)  # the steps from 0 to p-1 along label i+1
         assert (i * x + (i + 1) * y) % p == 0
 
 
 def test_step_bounds_frozen():
-    sb = step_bounds(1, 5)
-    assert (sb.x_max, sb.y_max) == (1, 2)
-    assert step_bounds(2, 5).x_max == 3
+    # labels lie in 1..p-2
+    assert [minimal_pair_direct(i, 5) for i in (1, 2, 3)] == [(1, 2), (1, 1), (2, 1)]
     with pytest.raises(ValueError):
-        step_bounds(0, 5)
+        minimal_pair_direct(0, 5)
     with pytest.raises(ValueError):
-        step_bounds(4, 5)
+        minimal_pair_direct(4, 5)
 
 
 def test_profile_p3():
@@ -376,6 +372,28 @@ def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, exp
 
 
 @pytest.mark.parametrize(
+    "i, kind, value, expected_viol, expected_notes",
+    [
+        # x + y = 2^63 wraps to -2^63: the exact sum breaks the sum-form bound
+        (10, T_CLASS, 2**62, ["sum-form bound fails"], ["sum-form equality missed"]),
+        # x + y = -2^63 - 2 wraps to 2^63 - 2, and 3 (x + y) wraps again
+        (2, S_CLASS, -(2**62) - 1, ["fraction-form lower bound fails"], []),
+        # x + y = 2^62 fits, but 3 (x + y) wraps to -2^62
+        (2, S_CLASS, 2**61, ["fraction-form upper bound fails"], []),
+    ],
+)
+def test_lemma_check_decides_on_the_exact_pair_sum(i, kind, value, expected_viol, expected_notes):
+    cls = classify_residues(101)
+    prof = lambda_profile(101, cls)
+    assert cls.kind[i] == kind and (kind == T_CLASS or max(cls.wr[i], cls.ws[i]) == 3)
+    x, y = prof.x.copy(), prof.y.copy()
+    x[i] = y[i] = value
+    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    assert viol == [f"{text} at i={i}" for text in expected_viol]
+    assert notes == [f"{text} at i={i}" for text in expected_notes]
+
+
+@pytest.mark.parametrize(
     "label, dc, expected",
     [
         # one more climb row: sum b and sum m move, and m_1 - m_{p-1} no
@@ -467,5 +485,4 @@ def test_profile_rejects_bad_p():
 def test_fast_pairs_match_direct_on_sampled_larger_primes(p):
     cls = classify_residues(p)
     for i in range(1, p - 1, 17):
-        direct = minimal_pair_direct(i, p)
-        assert (cls.x[i], cls.y[i]) == (direct.x, direct.y)
+        assert (cls.x[i], cls.y[i]) == minimal_pair_direct(i, p)
