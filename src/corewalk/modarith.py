@@ -13,7 +13,8 @@ from typing import Iterator
 import numpy as np
 
 # The int64 passes rely on p < _FAST_P_LIMIT = 2^31: residue products stay
-# below p^2 < 2^62 (inverse_range, the walk replay, the pair tables).  The
+# below p^2 < 2^62 (inverse_range, the classification), and the walk replay's
+# unreduced terms below 2p^2 < 2^63 (_first_failing_label).  The
 # size reduction splits each runner count b_i <= sum(m) < p^2 < 2^62 into
 # 16-bit limbs; a limb product is below 2^32, so a limb sum over fewer than
 # 2^31 terms (one block of _BLOCK runners) stays below 2^63.  Counts outside
@@ -49,32 +50,61 @@ def _fermat_inverses(k: np.ndarray, p: int) -> np.ndarray:
 def inverse_range(n: int, p: int) -> np.ndarray:
     """Inverses of 1..n modulo a prime p, as an int64 array.
 
-    inv[k] = k^(p-2) mod p for 1 <= k <= n (index 0 holds 0), in blocks of
-    _BLOCK residues at a time.  Up to p/2, odd k get Fermat exponentiation
-    and even k = 2j get inv(j) inv(2) once j lies in an earlier block; above
-    p/2, inv(p-k) = p - inv(k).  Every product is below p^2 < 2^62 because
-    p < _FAST_P_LIMIT.  Each block up to p/2 is checked with k inv[k] = 1
-    mod p, which fails for some k whenever p is composite and n reaches its
-    smallest prime factor.
+    inv[k] = k^(p-2) mod p for 1 <= k <= n (index 0 holds 0), by batch
+    inversion (Montgomery, Math. Comp. 48 (1987), 10.3.1).  1..h with
+    h = min(n, p/2) is laid out as rows of C = min(_BLOCK, h) columns, the
+    last row possibly partial.  A forward sweep leaves each column's running
+    products in inv itself; the last C entries, one per column, are the
+    column totals, and one Fermat exponentiation inverts them.  A backward
+    sweep then sets inv(k) = run * prefix(row above) and run <- run * k, a
+    few products per k and no p-length temporary.  Above p/2,
+    inv(p-k) = p - inv(k).  Every product has both factors below p, so it
+    stays below p^2 < 2^62 because p < _FAST_P_LIMIT.
+
+    Each row up to p/2 is checked with k inv[k] = 1 mod p, which fails for
+    some k whenever p is composite and n reaches its smallest prime factor q.
+    A factor poisons its whole column, so an earlier k can fail too: the
+    report names the smallest k with gcd(k, p) > 1 in a failing row (q when
+    q <= h), else the smallest failing k.
     """
     if n >= p or n < 0:
         raise ValueError(f"need 0 <= n < p, got n={n}, p={p}")
     if p >= _FAST_P_LIMIT:
         raise ValueError(f"modulus must stay below {_FAST_P_LIMIT}, got {p}")
     inv = np.zeros(n + 1, dtype=np.int64)
+    if n == 0:
+        return inv
     half = min(n, p // 2)
-    for lo, hi in label_blocks(1, half + 1):
+    cols = min(_BLOCK, half)
+    rows = [(lo, min(lo + cols, half + 1)) for lo in range(1, half + 1, cols)]
+    inv[1 : cols + 1] = np.arange(1, cols + 1)
+    for lo, hi in rows[1:]:
+        row = inv[lo:hi]
+        np.multiply(np.arange(lo, hi, dtype=np.int64), inv[lo - cols : hi - cols], out=row)
+        row %= p
+    run = _fermat_inverses(inv[half + 1 - cols : half + 1], p)  # of the column totals
+    if half % cols:  # the last cols entries start at column half % cols
+        run = np.roll(run, half % cols)
+    failed = shared = 0
+    for lo, hi in reversed(rows):
+        out, r = inv[lo:hi], run[: hi - lo]
         k = np.arange(lo, hi, dtype=np.int64)
-        if 2 * lo >= hi:
-            odd, even = lo | 1, lo + (lo & 1)
-            inv[odd:hi:2] = _fermat_inverses(np.arange(odd, hi, 2, dtype=np.int64), p)
-            halves = inv[even // 2 : (hi + 1) // 2]
-            inv[even:hi:2] = halves * ((p + 1) // 2) % p  # (p+1)/2 = inv(2) for odd p
+        if lo > 1:
+            np.multiply(r, inv[lo - cols : hi - cols], out=out)
+            out %= p
+            r *= k
+            r %= p
         else:
-            inv[lo:hi] = _fermat_inverses(k, p)
-        bad = np.flatnonzero(inv[lo:hi] * k % p != 1)
-        if bad.size:
-            raise ValueError(f"modulus {p} is not prime: k * inv(k) != 1 at k = {lo + int(bad[0])}")
+            out[...] = r
+        k *= out
+        k %= p
+        bad = np.flatnonzero(k != 1)
+        if bad.size:  # rows go downward, so the last report is the smallest
+            failed = lo + int(bad[0])
+            common = np.flatnonzero(np.gcd(np.arange(lo, hi), p) > 1)
+            shared = lo + int(common[0]) if common.size else shared
+    if failed:
+        raise ValueError(f"modulus {p} is not prime: k * inv(k) != 1 at k = {shared or failed}")
     for lo, hi in label_blocks(half + 1, n + 1):
         inv[lo:hi] = p - inv[p - lo : p - hi : -1]
     return inv

@@ -131,6 +131,14 @@ def classify_residues(p: int) -> ResidueClassification:
     same kind, and every residue receives at least one.  Fraction-form
     witnesses take priority when both kinds exist.
 
+    Each pair mn < mx costs two products: the (mn, mx) orientation lands on
+    i = s/(r-s) = -mx/(mx-mn) (fraction form) and on i = -s/(r+s) =
+    -mx/(mn+mx) (sum form), and the (mx, mn) orientation on p-1-i in each
+    form, because the two orientations' residues sum to -1 mod p.  Witness
+    (1, 1) lands on (p-1)/2.  The witnesses are scattered from uint16 copies
+    of the pair table, and a sum-form pair, being its witness, is copied from
+    wr, ws by the congruence pass, one block of labels at a time.
+
     The duplicate and coverage checks read uint8 class marks: after the
     sum-form marks, the marked count equals the sum-form witness count
     exactly when no residue has two of them; the fraction-form marks then
@@ -144,38 +152,46 @@ def classify_residues(p: int) -> ResidueClassification:
     k = math.isqrt(p)
     mn, mx, inv_mn_mod_mx = _coprime_pair_tables(k)
     inv_small = inverse_range(2 * k, p)
-
-    # witnesses (r, s): both orientations (mx, mn) and (mn, mx) of every pair,
-    # then (1, 1), which only the sum form has
-    r = np.concatenate((mx, mn, [1]))
-    s = np.concatenate((mn, mx, [1]))
-    inv_diff = inv_small[mx - mn]  # inv(r - s) for (mx, mn); p minus it for (mn, mx)
-    inv_sum = inv_small[mn + mx]
-    i_s = s[:-1] * np.concatenate((inv_diff, p - inv_diff)) % p
-    i_t = (p - s) * np.concatenate((inv_sum, inv_sum, inv_small[2:3])) % p
-    del inv_diff, inv_sum
-
-    for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
-        if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
-            raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
+    # the outputs first, so that the pair-length temporaries lie above them
+    # in the heap and go back to the system when freed; allocated after the
+    # temporaries, the outputs would pin them and raise peak RSS
     kind = np.zeros(p, dtype=np.uint8)
-    kind[i_t] = T_CLASS
-    sum_dup = np.count_nonzero(kind) != i_t.size
-    kind[i_s] = S_CLASS
-    fraction_dup = np.count_nonzero(kind == S_CLASS) != i_s.size
-    for dup, name, idx in ((fraction_dup, "fraction-form", i_s), (sum_dup, "sum-form", i_t)):
-        if dup:
-            raise ClassificationError(f"duplicate {name} witness at i={int(np.bincount(idx).argmax())}, p={p}")
-    if not kind[1 : p - 1].all():
-        raise ClassificationError(f"no witness at i={int(np.argmin(kind[1 : p - 1])) + 1}, p={p}")
-
     wr = np.zeros(p, dtype=np.uint16)
     ws = np.zeros(p, dtype=np.uint16)
     x = np.zeros(p, dtype=np.int64)
     y = np.zeros(p, dtype=np.int64)
-    wr[i_t] = x[i_t] = r  # a sum-form pair is its witness
-    ws[i_t] = y[i_t] = s
-    del i_t
+
+    # the (mn, mx) landings; each product has both factors below p
+    i_s = p - mx
+    i_t = i_s * inv_small[mn + mx] % p
+    i_s *= inv_small[mx - mn]
+    i_s %= p
+    for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
+        if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
+            raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
+    lo16, hi16 = mn.astype(np.uint16), mx.astype(np.uint16)
+    mirror = np.empty_like(i_s)
+
+    def land(idx: np.ndarray, form: int) -> None:
+        """Mark (mn, mx) at idx and (mx, mn) at its mirror p-1-idx."""
+        np.subtract(p - 1, idx, out=mirror)
+        kind[idx] = kind[mirror] = form
+        wr[idx] = ws[mirror] = lo16
+        ws[idx] = wr[mirror] = hi16
+
+    half = (p - 1) // 2
+    kind[half], wr[half], ws[half] = T_CLASS, 1, 1  # (1, 1), its own mirror
+    land(i_t, T_CLASS)
+    sum_dup = np.count_nonzero(kind) != 2 * i_t.size + 1
+    land(i_s, S_CLASS)
+    fraction_dup = np.count_nonzero(kind == S_CLASS) != 2 * i_s.size
+    del lo16, hi16
+    for dup, name, idx, extra in ((fraction_dup, "fraction-form", i_s, []), (sum_dup, "sum-form", i_t, [half])):
+        if dup:
+            landed = np.concatenate((idx, p - 1 - idx, extra)).astype(np.int64)
+            raise ClassificationError(f"duplicate {name} witness at i={int(np.bincount(landed).argmax())}, p={p}")
+    if not kind[1 : p - 1].all():
+        raise ClassificationError(f"no witness at i={int(np.argmin(kind[1 : p - 1])) + 1}, p={p}")
 
     # fraction-form pairs solve s*x + r*y = p; the split point a = mn*w is
     # the unique multiple of mn in (0, r*s) congruent to p modulo mx, so
@@ -188,16 +204,17 @@ def classify_residues(p: int) -> ResidueClassification:
         raise ClassificationError(f"split point misses divisibility at p={p}")
     other = rem // mx
     del rem
-    wr[i_s] = r[:-1]
-    ws[i_s] = s[:-1]
-    del r, s
-    x[i_s] = np.concatenate((w, other))
-    y[i_s] = np.concatenate((other, w))
-    del i_s, w, other
+    np.subtract(p - 1, i_s, out=mirror)
+    x[i_s] = y[mirror] = other
+    y[i_s] = x[mirror] = w
+    del i_s, i_t, mirror, w, other
 
     for lo, hi in label_blocks(1, p - 1):
+        xb, yb, sum_form = x[lo:hi], y[lo:hi], kind[lo:hi] == T_CLASS
+        np.copyto(xb, wr[lo:hi], where=sum_form)
+        np.copyto(yb, ws[lo:hi], where=sum_form)
         i = np.arange(lo, hi, dtype=np.int64)
-        bad = np.flatnonzero((i * x[lo:hi] + (i + 1) * y[lo:hi]) % p)
+        bad = np.flatnonzero((i * xb + (i + 1) * yb) % p)
         if bad.size:
             raise ClassificationError(f"pair fails its congruence at i={lo + int(bad[0])}, p={p}")
     return ResidueClassification(p, kind, wr, ws, x, y)
@@ -348,8 +365,13 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
     i > 1 starts at (p-1 + rest_{i-1} (i-1)) mod p, so a block of labels is
     checked at once, and after label p-1 the walk sits at (p-1)^2 = 1 mod p.
     A label can pass only with |y[i-1]| < p and 0 <= m[i] < 2p, so clipping
-    y to [-p, p] and m to [-1, 2p] changes no verdict and keeps every
-    product below p^2 < 2^62.
+    y to [-p, p] and m to [-1, 2p] changes no verdict.  A passing label also
+    has 0 <= tail < steps_to_zero <= p and 0 <= rest < inv(i), so tail needs
+    no reduction and rest is clipped to [-1, p] before its product: a label's
+    end vertex counts only once the label passed.  Three remainder passes
+    remain, and with tail in [1-p, 2p-1] and i < p every product and sum
+    stays below 2^63: |tail i| < 2p^2, v + tail i < 2p^2 and
+    |clip(rest) i| <= p^2, with p^2 < 2^62.
     """
     start = 0
     for lo, hi in label_blocks(1, p):
@@ -358,13 +380,13 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
         tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1], -p, p)
         mi = np.clip(m[lo:hi], -1, 2 * p)
         rest = mi - tail
-        end = (p - 1 + rest % p * i) % p
+        end = (p - 1 + np.clip(rest, -1, p) * i) % p
         v = np.empty_like(end)
         v[0] = start
         v[1:] = end[:-1]
         steps_to_zero = ((p - v) * inv_i - 1) % p + 1
         bad = (tail < 0) | (mi < tail) | (tail >= steps_to_zero)
-        bad |= (v + tail % p * i) % p != p - 1
+        bad |= (v + tail * i) % p != p - 1
         bad |= rest >= inv_i
         if hi == p:
             bad[-1] |= rest[-1] != p - 2

@@ -228,13 +228,15 @@ def test_inverse_range_at_the_supported_limit(block):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101, 1009])
 def test_inverse_range_across_block_edges(p):
-    # blocks after the first derive even k from k/2; k above p/2 mirror p-k
-    for n in sorted({1, p // 2, p // 2 + 1, p - 1}):
-        if n < p:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(modarith, "_BLOCK", 7)
-                inv = inverse_range(n, p)
-            assert inv.tolist() == [0] + [pow(k, -1, p) for k in range(1, n + 1)]
+    # rows of min(_BLOCK, p/2) columns: one row, several rows, a partial last
+    # row; k above p/2 mirror p-k
+    for block in (2, 7, 64):
+        for n in sorted({1, p // 2, p // 2 + 1, p - 1}):
+            if n < p:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(modarith, "_BLOCK", block)
+                    inv = inverse_range(n, p)
+                assert inv.tolist() == [0] + [pow(k, -1, p) for k in range(1, n + 1)], (block, n)
 
 
 def test_inverse_range_rejects_composite_modulus_in_a_later_block():
@@ -244,6 +246,46 @@ def test_inverse_range_rejects_composite_modulus_in_a_later_block():
         mp.setattr(modarith, "_BLOCK", 2)
         with pytest.raises(ValueError, match="not prime: .* at k = 3$"):
             inverse_range(20, 561)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@pytest.mark.parametrize("q", [9, 25, 91, 561, 1105, 7 * 13 * 19, 101 * 103])
+def test_inverse_range_names_the_smallest_prime_factor(q, block):
+    # a factor poisons its whole column, yet the report names the factor
+    factor = next(d for d in count(2) if q % d == 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", block)
+        for n in (factor, q // 2, q - 1):
+            with pytest.raises(ValueError, match=f"not prime: .* at k = {factor}$"):
+                inverse_range(n, q)
+
+
+def test_replay_bounds_hold_at_the_supported_limit():
+    # _first_failing_label's int64 terms at their extremes, in Python ints:
+    # tail = (p - inv(i)) - clip(y, -p, p), rest clipped to [-1, p], i < p
+    p = (1 << 31) - 1  # the largest prime below _FAST_P_LIMIT
+    i, v, limit = p - 1, p - 1, 1 << 63
+    tails, rests = (1 - p, 2 * p - 1), (-1, p)
+    assert max(abs(t * i) for t in tails) < 2 * p * p < limit
+    assert max(abs(v + t * i) for t in tails) < 2 * p * p
+    assert max(abs(r * i) for r in rests) <= p * p < limit
+    assert max(abs(p - 1 + r * i) for r in rests) < limit
+    assert p * (p - 1) < limit  # (p - v) inv(i) with 0 <= v < p
+    # and numpy's int64 gives the same values, so nothing wraps
+    ints = [v + t * i for t in tails] + [p - 1 + r * i for r in rests]
+    arr = np.concatenate((v + np.array(tails) * i, p - 1 + np.array(rests) * i))
+    assert arr.dtype == np.int64 and arr.tolist() == ints
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("p", [13, 61, 409])
+@pytest.mark.parametrize("field, value", [("m", 1 << 62), ("m", -(1 << 62)), ("y", -(1 << 62))])
+def test_block_replay_matches_scalar_replay_at_extreme_entries(p, block, field, value):
+    prof = _profile(p)
+    for label in (p // 2, p - 1):  # label i reads m[i] and y[i-1]
+        arr = getattr(prof, field).copy()
+        arr[label if field == "m" else label - 1] = value
+        _assert_same_replay(dataclasses.replace(prof, **{field: arr}), block)
 
 
 def test_oracles_stay_on_python_ints():

@@ -91,7 +91,7 @@ def reference_classify_residues(p: int) -> ResidueClassification:
     return ResidueClassification(p, kind, wr, ws, x, y)
 
 
-@pytest.mark.parametrize("p", primes_in_range(3, 3000) + [10007, 100003])
+@pytest.mark.parametrize("p", primes_in_range(3, 3000) + [10007, 100003, 1000003])
 def test_classification_matches_reference(p):
     got, want = classify_residues(p), reference_classify_residues(p)
     for name in ("kind", "x", "y"):
@@ -99,6 +99,29 @@ def test_classification_matches_reference(p):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     for name in ("wr", "ws"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_mirrored_orientations_land_on_p_minus_1():
+    # i = s/(r-s) and i = -s/(r+s) for (r, s) = (mx, mn) and (mn, mx), in Python ints
+    for p in primes_in_range(3, 3000):
+        cls, k = classify_residues(p), math.isqrt(p)
+        for mx in range(2, k + 1):
+            for mn in range(1, mx):
+                if math.gcd(mn, mx) > 1:
+                    continue
+                f = mn * pow(mx - mn, -1, p) % p, mx * pow(mn - mx, -1, p) % p
+                t = -mn * pow(mn + mx, -1, p) % p, -mx * pow(mn + mx, -1, p) % p
+                assert f[0] + f[1] == p - 1 and t[0] + t[1] == p - 1, (p, mn, mx)
+                for form, (i, j) in ((S_CLASS, f), (T_CLASS, t)):
+                    if cls.kind[i] == form:  # fraction-form witnesses take priority
+                        assert (cls.wr[i], cls.ws[i]) == (mx, mn), (p, mn, mx)
+                    if cls.kind[j] == form:
+                        assert (cls.wr[j], cls.ws[j]) == (mn, mx), (p, mn, mx)
+                assert cls.kind[f[0]] == cls.kind[f[1]] == S_CLASS
+        half = (p - 1) // 2  # where (1, 1), its own mirror, lands
+        assert -pow(2, -1, p) % p == half
+        if cls.kind[half] == T_CLASS:
+            assert cls.wr[half] == cls.ws[half] == 1
 
 
 def test_witness_bound_fits_uint16():
@@ -135,7 +158,7 @@ def test_classification_memory_per_residue():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 75 * p
+    assert peak < 46 * p
 
 
 def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
