@@ -16,9 +16,10 @@ import numpy as np
 # below p^2 < 2^62 (inverse_range, the classification), and the walk replay's
 # unreduced terms below 2p^2 < 2^63 (_first_failing_label).  The
 # size reduction splits each runner count b_i <= sum(m) < p^2 < 2^62 into
-# 16-bit limbs; a limb product is below 2^32, so a limb sum over fewer than
-# 2^31 terms (one block of _BLOCK runners) stays below 2^63.  Counts outside
-# 0 <= b_i < 2^63 are refused with ValueError (size_from_bead_multiplicities).
+# 24-bit limbs L_j; L_j L_k < 2^48 and t L_j < 2^38 for an offset t < _BLOCK,
+# so a limb sum over one block of _BLOCK = 2^14 runners stays below 2^62.
+# Counts outside 0 <= b_i < 2^63 are refused with ValueError
+# (size_from_bead_multiplicities).
 # Witness entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares
 # do not.
 _FAST_P_LIMIT = 1 << 31

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -122,6 +122,14 @@ class ResidueClassification:
     y: np.ndarray
 
 
+def _swap_where(a: np.ndarray, b: np.ndarray, swap: np.ndarray) -> None:
+    """Exchange a[j] and b[j] in place where swap[j] holds, by xor: no branch per entry."""
+    d = a ^ b
+    d *= swap
+    a ^= d
+    b ^= d
+
+
 def classify_residues(p: int) -> ResidueClassification:
     """Classify every residue 1..p-2 by its witness pair (r, s).
 
@@ -135,16 +143,24 @@ def classify_residues(p: int) -> ResidueClassification:
     i = s/(r-s) = -mx/(mx-mn) (fraction form) and on i = -s/(r+s) =
     -mx/(mn+mx) (sum form), and the (mx, mn) orientation on p-1-i in each
     form, because the two orientations' residues sum to -1 mod p.  Witness
-    (1, 1) lands on (p-1)/2.  The witnesses are scattered from uint16 copies
-    of the pair table, and a sum-form pair, being its witness, is copied from
-    wr, ws by the congruence pass, one block of labels at a time.
+    (1, 1) lands on (p-1)/2, its own mirror.  So residues i and p-1-i carry
+    the same class, swapped witnesses and swapped pairs, and only the lower
+    half 1..(p-1)/2 is computed: each landing is folded onto min(i, p-1-i),
+    with the orientation swapped where it folded, and written once per form.
+    A sum-form pair, being its witness, is copied from wr, ws by the
+    congruence pass, one block of labels at a time.  The upper half is then
+    a reversed copy of the lower one, and its congruences follow from the
+    lower half's: with x_{p-1-i} = y_i and y_{p-1-i} = x_i,
+    (p-1-i) y_i + (p-i) x_i = -(i x_i + (i+1) y_i) mod p.
 
-    The duplicate and coverage checks read uint8 class marks: after the
-    sum-form marks, the marked count equals the sum-form witness count
-    exactly when no residue has two of them; the fraction-form marks then
-    overwrite, and their count equals the fraction-form witness count
-    exactly when no residue has two of those; a residue is covered when its
-    mark is nonzero.  A bincount runs only to name the residue of a failure.
+    The duplicate and coverage checks read uint8 class marks on the lower
+    half: after the sum-form marks, the marked count equals the sum-form
+    witness count plus one for (1, 1) exactly when no residue has two of
+    them; the fraction-form marks then overwrite, and their count equals the
+    fraction-form witness count exactly when no residue has two of those and
+    none landed on (p-1)/2, where a landing is its own mirror; a residue is
+    covered when its mark is nonzero.  A bincount runs only to name the
+    residue of a failure.
     """
     require_odd_prime(p)
     if p >= _FAST_P_LIMIT:
@@ -169,29 +185,34 @@ def classify_residues(p: int) -> ResidueClassification:
     for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
         if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
             raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
-    lo16, hi16 = mn.astype(np.uint16), mx.astype(np.uint16)
-    mirror = np.empty_like(i_s)
-
-    def land(idx: np.ndarray, form: int) -> None:
-        """Mark (mn, mx) at idx and (mx, mn) at its mirror p-1-idx."""
-        np.subtract(p - 1, idx, out=mirror)
-        kind[idx] = kind[mirror] = form
-        wr[idx] = ws[mirror] = lo16
-        ws[idx] = wr[mirror] = hi16
-
     half = (p - 1) // 2
-    kind[half], wr[half], ws[half] = T_CLASS, 1, 1  # (1, 1), its own mirror
+    on_half = bool(np.any(i_s == half))  # its own mirror: the folded count misses it
+    lo16, hi16 = mn.astype(np.uint16), mx.astype(np.uint16)
+
+    def land(idx: np.ndarray, form: int) -> np.ndarray:
+        """Fold idx onto the lower half and mark it, (mx, mn) where it folded."""
+        folded = idx > half
+        np.minimum(idx, p - 1 - idx, out=idx)
+        r, s = lo16.copy(), hi16.copy()
+        _swap_where(r, s, folded)
+        kind[idx], wr[idx], ws[idx] = form, r, s
+        return folded
+
+    kind[half], wr[half], ws[half] = T_CLASS, 1, 1  # (1, 1)
     land(i_t, T_CLASS)
-    sum_dup = np.count_nonzero(kind) != 2 * i_t.size + 1
-    land(i_s, S_CLASS)
-    fraction_dup = np.count_nonzero(kind == S_CLASS) != 2 * i_s.size
+    sum_dup = np.count_nonzero(kind[: half + 1]) != i_t.size + 1
+    folded = land(i_s, S_CLASS)
+    fraction_dup = on_half or np.count_nonzero(kind[: half + 1] == S_CLASS) != i_s.size
     del lo16, hi16
+    # the folded landings and their mirrors are the unfolded ones, as a multiset
     for dup, name, idx, extra in ((fraction_dup, "fraction-form", i_s, []), (sum_dup, "sum-form", i_t, [half])):
         if dup:
             landed = np.concatenate((idx, p - 1 - idx, extra)).astype(np.int64)
             raise ClassificationError(f"duplicate {name} witness at i={int(np.bincount(landed).argmax())}, p={p}")
-    if not kind[1 : p - 1].all():
-        raise ClassificationError(f"no witness at i={int(np.argmin(kind[1 : p - 1])) + 1}, p={p}")
+    # the marks are mirrored, so the first residue without one is in the lower half
+    if not kind[1 : half + 1].all():
+        raise ClassificationError(f"no witness at i={int(np.argmin(kind[1 : half + 1])) + 1}, p={p}")
+    del i_t, idx  # the loops above leave idx naming i_t
 
     # fraction-form pairs solve s*x + r*y = p; the split point a = mn*w is
     # the unique multiple of mn in (0, r*s) congruent to p modulo mx, so
@@ -199,24 +220,27 @@ def classify_residues(p: int) -> ResidueClassification:
     w = (p % mx) * inv_mn_mod_mx % mx
     if w.size and int(w.min()) < 1:
         raise ClassificationError(f"degenerate split point at p={p}")
-    rem = p - mn * w
-    if np.any(rem % mx):
+    other = p - mn * w  # divided by mx in place
+    other, miss = np.divmod(other, mx, out=(other, None))
+    if np.any(miss):
         raise ClassificationError(f"split point misses divisibility at p={p}")
-    other = rem // mx
-    del rem
-    np.subtract(p - 1, i_s, out=mirror)
-    x[i_s] = y[mirror] = other
-    y[i_s] = x[mirror] = w
-    del i_s, i_t, mirror, w, other
+    del miss
+    _swap_where(other, w, folded)
+    x[i_s], y[i_s] = other, w
+    del i_s, folded, w, other
 
-    for lo, hi in label_blocks(1, p - 1):
+    for lo, hi in label_blocks(1, half + 1):
         xb, yb, sum_form = x[lo:hi], y[lo:hi], kind[lo:hi] == T_CLASS
-        np.copyto(xb, wr[lo:hi], where=sum_form)
-        np.copyto(yb, ws[lo:hi], where=sum_form)
+        xb += wr[lo:hi] * sum_form  # x, y are still 0 there: fraction-form pairs went to S_CLASS
+        yb += ws[lo:hi] * sum_form
         i = np.arange(lo, hi, dtype=np.int64)
         bad = np.flatnonzero((i * xb + (i + 1) * yb) % p)
         if bad.size:
             raise ClassificationError(f"pair fails its congruence at i={lo + int(bad[0])}, p={p}")
+    # the upper half half+1..p-2 mirrors the lower half's 1..half-1
+    upper, lower = slice(half + 1, p - 1), slice(half - 1, 0, -1)
+    for dst, src in ((kind, kind), (wr, ws), (ws, wr), (x, y), (y, x)):
+        dst[upper] = src[lower]
     return ResidueClassification(p, kind, wr, ws, x, y)
 
 
@@ -230,9 +254,10 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
 
     m[1] = p-1 and m[p-1] = p-2 are the climb and the descent; in between,
     m[i] = p - y[i-1] - x[i] counts the label-i rows of the two adjacent
-    excursions.  The size comes from a transient b = cumsum(m).  The profile
-    is returned only if check_symmetry and check_sum_identity find nothing
-    and the pairs and row counts are sane.
+    excursions.  The size comes from b = cumsum(m), built one block of
+    runners at a time, so no p-length b is held.  The profile is returned
+    only if check_symmetry and check_sum_identity find nothing and the pairs
+    and row counts are sane.
     """
     require_odd_prime(p)
     cls_ = classification if classification is not None else classify_residues(p)
@@ -252,7 +277,7 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     # p, so their int64 sums stay below p^2 < 2^62; the two ends join as ints
     c = int(np.sum(x[2 : p - 1]) + np.sum(y[1 : p - 2])) + int(x[1]) + int(y[p - 2])
 
-    size = size_from_bead_multiplicities(p, np.cumsum(m[1:]))
+    size = size_from_bead_multiplicities(p, _runner_blocks(m))
     profile = LambdaProfile(p, m, x, y, c, size)
     violations = check_symmetry(profile) + check_sum_identity(profile)
     _check(not violations, "; ".join(violations), p)
@@ -303,36 +328,47 @@ def _row_sums(m: np.ndarray, start: int, stop: int, p: int) -> tuple[int, int]:
 def size_from_bead_multiplicities(p: int, b) -> int:
     """Size of the p-core with b_i beads on runner i, 1 <= i <= p-1 (runner 0 empty).
 
+    b holds the p-1 counts as one sequence, or as an iterator over consecutive
+    arrays of at most 2^14 of them (lambda_profile passes cumsum(m) block by
+    block, so that no p-length b is held).  The counts must be integers with
+    0 <= b_i < 2^63, else ValueError; a profile meets this with room to
+    spare: b_i <= sum(m) < p^2 < 2^62 for p < _FAST_P_LIMIT.
+
     Evaluates -(1/2)(sum b)^2 + (p/2) sum b^2 + sum (i - (p-1)/2) b_i exactly
-    by working in doubled units and halving at the end.  The counts must be
-    integers with 0 <= b_i < 2^63, else ValueError; a profile meets this with
-    room to spare: b_i <= sum(m) < p^2 < 2^62 for p < _FAST_P_LIMIT.
-    sum b, sum b^2 and sum i b_i are accumulated in Python ints from int64
-    limb sums over blocks of _BLOCK runners: with b_i = sum_j 2^(16j) L_j and
+    by working in doubled units and halving at the end.  sum b, sum b^2 and
+    sum i b_i are accumulated in Python ints from int64 limb sums over blocks
+    of at most _BLOCK = 2^14 runners: with b_i = sum_j 2^(24j) L_j and
     i = lo + t inside a block (as many limbs as its largest count needs),
-    every product L_j L_k or t L_j is below 2^32, so each block sum stays
-    below _BLOCK * 2^32 < 2^63.
+    L_j L_k < 2^48 and t L_j < 2^38, so each block sum stays below 2^62.
     """
     if p < 2:
         raise ValueError(f"need p >= 2, got {p}")
-    if len(b) != p - 1:
-        raise ValueError(f"expected {p - 1} runner counts, got {len(b)}")
-    b = np.asarray(b)
-    if b.dtype.kind not in "iu" or int(b.min()) < 0 or (b.dtype.kind == "u" and int(b.max()) >= 1 << 63):
-        raise ValueError("runner counts must be integers with 0 <= b_i < 2^63")
-    b = b.astype(np.int64, copy=False)
+    if not isinstance(b, Iterator):
+        if len(b) != p - 1:
+            raise ValueError(f"expected {p - 1} runner counts, got {len(b)}")
+        counts = np.asarray(b)
+        b = (counts[lo - 1 : hi - 1] for lo, hi in label_blocks(1, p))
     s1 = s2 = sl = 0
-    for lo, hi in label_blocks(1, p):
-        block = b[lo - 1 : hi - 1]
-        limbs = [(block >> shift) & 0xFFFF for shift in range(0, int(block.max()).bit_length(), 16)]
-        t = np.arange(hi - lo, dtype=np.int64)
+    lo = 1  # the runner of each block's first count
+    for block in b:
+        if block.size > 1 << 14:  # the limb sums' bound
+            raise ValueError("a block of runner counts may hold at most 2^14 of them")
+        kind = block.dtype.kind
+        if kind not in "iu" or int(block.min()) < 0 or (kind == "u" and int(block.max()) >= 1 << 63):
+            raise ValueError("runner counts must be integers with 0 <= b_i < 2^63")
+        block = block.astype(np.int64, copy=False)
+        limbs = [(block >> shift) & 0xFFFFFF for shift in range(0, int(block.max()).bit_length(), 24)]
+        t = np.arange(block.size, dtype=np.int64)
         for j, lj in enumerate(limbs):
             limb_sum = int(lj.sum())
-            s1 += limb_sum << (16 * j)
-            sl += (lo * limb_sum + int((t * lj).sum())) << (16 * j)
-            s2 += int((lj * lj).sum()) << (32 * j)
+            s1 += limb_sum << (24 * j)
+            sl += (lo * limb_sum + int((t * lj).sum())) << (24 * j)
+            s2 += int((lj * lj).sum()) << (48 * j)
             for k in range(j + 1, len(limbs)):
-                s2 += int((lj * limbs[k]).sum()) << (16 * (j + k) + 1)
+                s2 += int((lj * limbs[k]).sum()) << (24 * (j + k) + 1)
+        lo += block.size
+    if lo != p:
+        raise ValueError(f"expected {p - 1} runner counts, got {lo - 1}")
     doubled = -s1 * s1 + p * s2 + 2 * sl - (p - 1) * s1
     half, rem = divmod(doubled, 2)
     if rem:
@@ -340,6 +376,16 @@ def size_from_bead_multiplicities(p: int, b) -> int:
     if half < 0:
         raise ValueError("multiplicity vector gives a negative size")
     return half
+
+
+def _runner_blocks(m: np.ndarray) -> Iterator[np.ndarray]:
+    """b = cumsum(m[1:]) block by block, each block carried on from the last."""
+    carry = 0
+    for lo, hi in label_blocks(1, m.size):
+        block = np.cumsum(m[lo:hi])
+        block += carry
+        carry = int(block[-1])
+        yield block
 
 
 def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PARTS) -> Partition:

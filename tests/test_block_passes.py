@@ -26,6 +26,7 @@ from corewalk.residue_walk import (
     LambdaProfile,
     WalkValidation,
     _first_failing_label,
+    _runner_blocks,
     lambda_profile,
     size_from_bead_multiplicities,
     validate_walk,
@@ -194,6 +195,35 @@ def test_limb_size_at_the_largest_counts_across_a_block_edge():
     assert got == reference_size(len(b) + 1, b)
 
 
+LIMB_EDGES = [(1 << 24) - 1, 1 << 24, (1 << 48) - 1, 1 << 48, 1 << 62, (1 << 63) - 1]
+
+
+@pytest.mark.parametrize("block", [64, 1 << 14])
+@pytest.mark.parametrize("value", LIMB_EDGES)
+def test_limb_size_at_the_24_bit_limb_edges(value, block):
+    # a full block of one count, then the other edges and a partial block; at
+    # 2^14 runners of 2^63 - 1 the limb sums reach their bound, below 2^62
+    b = [value] * block + LIMB_EDGES + [0, 1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", block)
+        got = size_from_bead_multiplicities(len(b) + 1, b)
+    assert got == reference_size(len(b) + 1, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_size_from_row_count_blocks_matches_python_ints(data):
+    # lambda_profile's path: b = cumsum(m) built block by block, carried across edges
+    n = data.draw(st.sampled_from([1, 63, 64, 65, 130, 200]))
+    top = data.draw(st.sampled_from([3, 1 << 20, 1 << 40]))
+    rows = data.draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    m = np.array([0] + rows, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", 64)
+        got = size_from_bead_multiplicities(n + 1, _runner_blocks(m))
+    assert got == reference_size(n + 1, np.cumsum(m[1:]).tolist())
+
+
 def test_limb_size_matches_python_ints_at_p_1000003():
     prof = lambda_profile(1000003)
     assert prof.size == reference_size(prof.p, prof.b[1:].tolist())
@@ -212,6 +242,30 @@ def test_limb_size_matches_python_ints_at_p_1000003():
 def test_counts_outside_the_bound_are_refused(b):
     with pytest.raises(ValueError):
         size_from_bead_multiplicities(3, b)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [np.array([1, -1])],
+        [np.array([1, 1 << 63], dtype=np.uint64)],
+        [np.array([1.0, 2.0])],
+        [np.array([1])],
+        [np.array([1]), np.array([2, 3])],
+    ],
+)
+def test_block_iterators_meet_the_same_refusals(blocks):
+    with pytest.raises(ValueError):
+        size_from_bead_multiplicities(3, iter(blocks))
+
+
+def test_block_iterators_hold_at_most_2_14_counts_a_block():
+    # the limb sums stay below 2^62 only over blocks of at most 2^14 runners
+    n = (1 << 14) + 1
+    with pytest.raises(ValueError, match="at most 2\\^14"):
+        size_from_bead_multiplicities(n + 1, iter([np.ones(n, dtype=np.int64)]))
+    blocks = [np.ones(n - 1, dtype=np.int64), np.ones(1, dtype=np.int64)]
+    assert size_from_bead_multiplicities(n + 1, iter(blocks)) == reference_size(n + 1, [1] * n)
 
 
 @pytest.mark.parametrize("block", [64, 1 << 14])

@@ -1,12 +1,15 @@
 """classify_residues against its p-length-bincount reference and its corruptions.
 
 classify_residues decides its duplicate and coverage checks with uint8 class
-marks and stores the witnesses as uint16.  The version it replaced, with two
-int64 bincounts and int64 witnesses, is kept here as a reference; every
-ClassificationError branch is reached by a corrupted pair table.
+marks on the lower half of the residues, stores the witnesses as uint16 and
+copies the upper half from the lower.  The version it replaced, with two
+int64 bincounts and int64 witnesses over all residues, is kept here as a
+reference; every ClassificationError branch is reached by a corrupted pair
+table, or by a corrupted inverse table where no pair table can reach it.
 """
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -124,6 +127,17 @@ def test_mirrored_orientations_land_on_p_minus_1():
             assert cls.wr[half] == cls.ws[half] == 1
 
 
+def test_upper_half_mirrors_the_lower_half():
+    # the upper half is copied from the lower one: same class, swapped witness and pair
+    for p in primes_in_range(3, 3000):
+        cls = classify_residues(p)
+        i = np.arange(1, p - 1)
+        j = p - 1 - i
+        assert np.array_equal(cls.kind[j], cls.kind[i]), p
+        for a, b in (("wr", "ws"), ("ws", "wr"), ("x", "y"), ("y", "x")):
+            assert np.array_equal(getattr(cls, a)[j], getattr(cls, b)[i]), (p, a)
+
+
 def test_witness_bound_fits_uint16():
     # every witness entry is at most isqrt(p) < isqrt(_FAST_P_LIMIT)
     assert math.isqrt(_FAST_P_LIMIT - 1) < 2**16
@@ -158,7 +172,7 @@ def test_classification_memory_per_residue():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 46 * p
+    assert peak < 38 * p
 
 
 def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
@@ -177,9 +191,29 @@ def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
 
 
 def _corrupted(edit):
-    """The k = 10 pair table (p = 101) with edit(mn, mx, inv) applied to copies."""
-    mn, mx, inv = (a.copy() for a in _coprime_pair_tables(10))
-    return _PairTables(*edit(mn, mx, inv))
+    """Serve the k = 10 pair table (p = 101) with edit(mn, mx, inv) applied to copies."""
+
+    @functools.wraps(edit)  # the edit's name stays the test case's id
+    def patch(monkeypatch):
+        tables = _PairTables(*edit(*(a.copy() for a in _coprime_pair_tables(10))))
+        monkeypatch.setattr(residue_walk, "_coprime_pair_tables", lambda k: tables)
+
+    return patch
+
+
+def _corrupted_inverse(n, value):
+    """Serve the classification's inverse table with inv(n) set to value."""
+    honest = residue_walk.inverse_range
+
+    def inverse(monkeypatch):
+        def inverse_range(k, p):
+            inv = honest(k, p)
+            inv[n] = value
+            return inv
+
+        monkeypatch.setattr(residue_walk, "inverse_range", inverse_range)
+
+    return inverse
 
 
 def _position(mn, mx, pair):
@@ -225,18 +259,21 @@ def _swap_entries(mn, mx, inv):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_repeat, "duplicate fraction-form witness at i=48, p=101"),
-        (_repeat_swapped, "duplicate sum-form witness at i=40, p=101"),
-        (_equal_entries, "fraction-form witness fell outside 1..p-2 at p=101"),
-        (_drop, "no witness at i=12, p=101"),
-        (_inverse((1, 3), lambda v: 0), "degenerate split point at p=101"),
-        (_inverse((1, 3), lambda v: v + 1), "split point misses divisibility at p=101"),
-        (_swap_entries, "pair fails its congruence at i=40, p=101"),
+        (_corrupted(_repeat), "duplicate fraction-form witness at i=48, p=101"),
+        (_corrupted(_repeat_swapped), "duplicate sum-form witness at i=40, p=101"),
+        (_corrupted(_equal_entries), "fraction-form witness fell outside 1..p-2 at p=101"),
+        (_corrupted(_drop), "no witness at i=12, p=101"),
+        (_corrupted(_inverse((1, 3), lambda v: 0)), "degenerate split point at p=101"),
+        (_corrupted(_inverse((1, 3), lambda v: v + 1)), "split point misses divisibility at p=101"),
+        (_corrupted(_swap_entries), "pair fails its congruence at i=40, p=101"),
+        # no pair-table edit lands a fraction-form witness on its own mirror
+        # (p-1)/2 = 50 with the sum-form residues in range; (1, 10) is the only
+        # pair with mx - mn = 9, and inv(9) = 96 puts it on (101 - 10) 96 = 50
+        (_corrupted_inverse(9, 96), "duplicate fraction-form witness at i=50, p=101"),
     ],
 )
 def test_classification_catches_corrupted_pair_table(monkeypatch, edit, message):
-    tables = _corrupted(edit)
-    monkeypatch.setattr(residue_walk, "_coprime_pair_tables", lambda k: tables)
+    edit(monkeypatch)
     with pytest.raises(ClassificationError) as err:
         classify_residues(101)
     assert str(err.value) == message
