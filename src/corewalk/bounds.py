@@ -100,17 +100,15 @@ def theorem_interval_check(p: int, size: int) -> dict[str, Bound]:
     }
 
 
-def c_bounds_check(p: int, profile: LambdaProfile) -> dict[str, Bound]:
-    """Bounds on the gap statistic c and the prefix value at floor(p/18).
+def c_bounds_check(profile: LambdaProfile) -> dict[str, Bound]:
+    """Bounds on the gap statistic c and the prefix value at floor(p/18), p = profile.p.
 
     c < (11/3) p sqrt(p) compares 9 c^2 against 121 p^3; the lower bound
     c > (6/5) p sqrt(p) - 16 p compares (5c + 80p)^2 against 36 p^3; and
     c_k < (2/5) p sqrt(p) + p at k = floor(p/18) compares 25 (c_k - p)^2
     against 4 p^3.  The k = 0 case has nothing to check.
     """
-    if profile.p != p:
-        raise ValueError(f"profile is for p={profile.p}, not p={p}")
-    c = profile.c
+    p, c = profile.p, profile.c
     p3 = p**3
     k = p // 18
     margin_c18: Optional[int] = None
@@ -124,8 +122,8 @@ def c_bounds_check(p: int, profile: LambdaProfile) -> dict[str, Bound]:
     }
 
 
-def bounds_report(p: int, profile: LambdaProfile) -> dict[str, Bound]:
-    """Every size and gap inequality for one prime, by name, in output order.
+def bounds_report(profile: LambdaProfile) -> dict[str, Bound]:
+    """Every size and gap inequality at p = profile.p, by name, in output order.
 
     Each margin is an exact integer, or None for c18 while floor(p/18) = 0.
     The theorem and c bounds are strict, ok when margin > 0; eq1_upper,
@@ -133,9 +131,7 @@ def bounds_report(p: int, profile: LambdaProfile) -> dict[str, Bound]:
     when margin >= 0.  construction_comparison's margin is scaled by 96 and
     is never asserted.
     """
-    if profile.p != p:
-        raise ValueError(f"profile is for p={profile.p}, not p={p}")
-    size = profile.size
+    p, size = profile.p, profile.size
     ono = mcspirit_ono_bound(p)
     upper = mcdowell_upper(p)
     construction = mcdowell_construction_value(p)
@@ -145,7 +141,7 @@ def bounds_report(p: int, profile: LambdaProfile) -> dict[str, Bound]:
         "bound_chain": _weak(ono - upper, True),
         "mcspirit_ono_upper": _weak(ono - size, True),
         "construction_comparison": _weak(int(96 * (size - construction)), False),
-        **c_bounds_check(p, profile),
+        **c_bounds_check(profile),
     }
 
 
@@ -190,13 +186,14 @@ class TotientCheckResult:
 
 
 _EXACT_RECHECK_LIMIT = 5_000
+_SCALE_BITS = 40  # the first attempt's K = 2**_SCALE_BITS; each retry adds 24 bits
 
 
-def totient_sum_check(n_max: int, scale_bits: int = 40) -> TotientCheckResult:
+def totient_sum_check(n_max: int) -> TotientCheckResult:
     """Check sum_{m<=n} phi(m)/m > (3/5) n - 6 for every n <= n_max.
 
     The running sum A_n is pinned by the integer S_n = sum of
-    floor(5 K phi(m) / m) with K = 2**scale_bits: 5 K A_n lies in
+    floor(5 K phi(m) / m) with K = 2**_SCALE_BITS: 5 K A_n lies in
     [S_n, S_n + n).  Comparing S_n against K (3n - 30) certifies each n
     exactly; should any n ever land inside the enclosure width (about
     n / 5K, vastly below the observed slack of ~6) the sweep restarts with
@@ -206,7 +203,7 @@ def totient_sum_check(n_max: int, scale_bits: int = 40) -> TotientCheckResult:
         raise ValueError("n_max must be at least 1")
     phi = totient_sieve(n_max)
     for attempt in range(4):
-        kk = 1 << (scale_bits + 24 * attempt)
+        kk = 1 << (_SCALE_BITS + 24 * attempt)
         five_k = 5 * kk
         s = 0
         min_lo: Optional[int] = None

@@ -31,13 +31,7 @@ from .bounds import (
 )
 from .errors import VerificationError
 from .modarith import primes_in_range, require_odd_prime
-from .oracle import (
-    MAX_DP_PRIME,
-    MAX_ENUM_PRIME,
-    exhaustive_partition_search,
-    longest_walk_dp,
-    max_size_walk,
-)
+from .oracle import exhaustive_partition_search, longest_walk_dp, max_size_walk
 from .partitions import format_partition
 from .residue_walk import (
     check_st_lemmas,
@@ -63,8 +57,9 @@ def _decimal_ratio(num: int, den: int, digits: int = RATIO_DIGITS) -> str:
     return f"{'-' if num < 0 else ''}{q}.{frac:0{digits}d}"
 
 
-def _decimal_fraction(value: Fraction, digits: int = 9) -> str:
-    return _decimal_ratio(value.numerator, value.denominator, digits)
+def _decimal_fraction(value: Fraction) -> str:
+    """value truncated toward zero to 9 digits, as totient-check prints its slack."""
+    return _decimal_ratio(value.numerator, value.denominator, 9)
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -125,13 +120,17 @@ def cmd_lambda(args: argparse.Namespace) -> int:
 
 
 def _group_status(report: dict[str, Bound], names: Sequence[str]) -> tuple[str, list[str]]:
+    """One status for a group of bounds: fail, fail*, pass* or pass, with its notes.
+
+    A bound that is empty at this p (ok None) is skipped; every group in
+    _CHECK_GROUPS holds one that never is (theorem_lower, eq1_upper, c_upper).
+    """
     notes: list[str] = []
-    asserted_fail = soft_fail = starred = applicable = False
+    asserted_fail = soft_fail = starred = False
     for name in names:
         ok, asserted, margin = report[name]
         if ok is None:
             continue
-        applicable = True
         if asserted:
             if not ok:
                 asserted_fail = True
@@ -141,8 +140,6 @@ def _group_status(report: dict[str, Bound], names: Sequence[str]) -> tuple[str, 
             if not ok:
                 soft_fail = True
                 notes.append(f"{name} does not hold (outside its stated range, not asserted)")
-    if not applicable:
-        return "n/a", notes
     if asserted_fail:
         return "fail", notes
     if soft_fail:
@@ -163,7 +160,7 @@ def _verify_row(args: tuple[int, tuple[str, ...]]) -> dict:
     p, checks = args
     cls_ = classify_residues(p)
     profile = lambda_profile(p, cls_)
-    report = bounds_report(p, profile)
+    report = bounds_report(profile)
     row: dict = {"p": p, "size": str(profile.size), "c": profile.c, "checks": {}, "notes": []}
     for check in checks:
         if check in _CHECK_GROUPS:
@@ -175,7 +172,7 @@ def _verify_row(args: tuple[int, tuple[str, ...]]) -> dict:
             wv = validate_walk(profile)
             status, notes = ("pass", []) if wv.ok else ("fail", [wv.violation])
         elif check == "lemmas":
-            viol, lemma_notes = check_st_lemmas(cls_, profile)
+            viol, lemma_notes = check_st_lemmas(cls_)
             status, notes = ("fail", viol) if viol else ("pass", [])
             notes = notes + lemma_notes
         else:
@@ -239,11 +236,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    """Compare one brute-force route with the profile; a p above the route's cap is its own refusal."""
     p = require_odd_prime(args.p)
     lines = [f"mode: {args.mode}", f"p: {p}"]
     if args.mode == "walks":
-        if p > MAX_ENUM_PRIME:
-            raise ValueError(f"walk enumeration is capped at p <= {MAX_ENUM_PRIME}")
         cand = max_size_walk(p)
         profile = lambda_profile(p)
         if cand.m != tuple(profile.m[1:].tolist()):
@@ -253,8 +249,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lines.append(f"unique maximal walk matches the profile: length={cand.length} size={cand.size}")
         lines.append("m: " + ",".join(map(str, cand.m)))
     elif args.mode == "longest-dp":
-        if p > MAX_DP_PRIME:
-            raise ValueError(f"the longest-walk dynamic program is capped at p <= {MAX_DP_PRIME}")
         result = longest_walk_dp(p, compare_profile=False)  # m is compared whole below
         profile = lambda_profile(p)
         if result.m != tuple(profile.m[1:].tolist()):
@@ -319,10 +313,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_totient_check(args: argparse.Namespace) -> int:
-    n_max = args.n_max
-    if n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max}")
-    result = totient_sum_check(n_max)
+    result = totient_sum_check(args.n_max)  # refuses n_max < 1 itself
     lines = [f"checked n = 1..{result.n_max}: " + ("bound holds" if result.ok else "bound FAILS")]
     if result.first_violation is not None:
         lines.append(f"first violation at n = {result.first_violation}")
@@ -345,7 +336,8 @@ def cmd_totient_check(args: argparse.Namespace) -> int:
 
 
 def _parse_checks(raw: str) -> tuple[str, ...]:
-    names = tuple(name.strip() for name in raw.split(",") if name.strip())
+    """The comma-separated check names, each once, in the order of their first occurrence."""
+    names = tuple(dict.fromkeys(name.strip() for name in raw.split(",") if name.strip()))
     bad = [name for name in names if name not in VERIFY_CHECKS]
     if bad or not names:
         raise argparse.ArgumentTypeError(

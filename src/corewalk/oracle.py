@@ -21,7 +21,7 @@ from .residue_walk import lambda_profile
 
 MAX_ENUM_PRIME = 9
 MAX_DP_PRIME = 500
-DEFAULT_SEARCH_BUDGET = 2_000_000
+SEARCH_BUDGET = 2_000_000  # most partitions exhaustive_partition_search may visit
 
 
 class WalkCandidate(NamedTuple):
@@ -40,7 +40,6 @@ class LongestWalkResult(NamedTuple):
 class PartitionSearchResult:
     partition: Partition
     size: int
-    num_maximal: int
 
 
 @dataclass(frozen=True)
@@ -66,19 +65,20 @@ class AbacusDisplay:
             raise ValueError("position 0 must be a gap")
 
 
-def enumerate_valid_walks(p: int, visitor: Callable[[WalkCandidate], None], max_p: int = MAX_ENUM_PRIME) -> int:
+def enumerate_valid_walks(p: int, visitor: Callable[[WalkCandidate], None]) -> int:
     """Visit every walk from 0 with nondecreasing labels avoiding 0.
 
     Labels run over 1..p-1 in order; for each label the walk may take any
     number of steps short of the count that would land it back on 0.  The
     size of the encoded partition accumulates as (p - label) * position
     weight per step.  Returns the number of walks visited; that count grows
-    brutally fast, hence the cap.
+    brutally fast, hence the cap: p above MAX_ENUM_PRIME is refused with
+    ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if p > max_p:
-        raise ValueError(f"enumeration is capped at p <= {max_p}, got {p}")
+    if p > MAX_ENUM_PRIME:
+        raise ValueError(f"walk enumeration is capped at p <= {MAX_ENUM_PRIME}, got {p}")
     inv = inverse_range(p - 1, p).tolist()
     m = [0] * p
 
@@ -109,41 +109,22 @@ def max_size_walk(p: int) -> WalkCandidate:
     """The unique size-maximal walk, by exhaustive enumeration.
 
     Also insists that the length-maximal walk is unique and is the same
-    candidate, since the construction leans on that coincidence.
+    candidate, since the construction leans on that coincidence.  Every
+    candidate is held: p <= MAX_ENUM_PRIME = 9 gives at most 5488 walks.
     """
-    state = {
-        "best_size": None,
-        "size_ties": 0,
-        "size_m": None,
-        "best_len": None,
-        "len_ties": 0,
-        "len_m": None,
-        "winner": None,
-    }
-
-    def visit(cand: WalkCandidate) -> None:
-        if state["best_size"] is None or cand.size > state["best_size"]:
-            state["best_size"] = cand.size
-            state["size_ties"] = 1
-            state["size_m"] = cand.m
-            state["winner"] = cand
-        elif cand.size == state["best_size"]:
-            state["size_ties"] += 1
-        if state["best_len"] is None or cand.length > state["best_len"]:
-            state["best_len"] = cand.length
-            state["len_ties"] = 1
-            state["len_m"] = cand.m
-        elif cand.length == state["best_len"]:
-            state["len_ties"] += 1
-
-    enumerate_valid_walks(p, visit)
-    if state["size_ties"] != 1:
-        raise UniquenessError(f"{state['size_ties']} size-maximal walks at p={p}")
-    if state["len_ties"] != 1:
-        raise UniquenessError(f"{state['len_ties']} length-maximal walks at p={p}")
-    if state["size_m"] != state["len_m"]:
+    cands: list[WalkCandidate] = []
+    enumerate_valid_walks(p, cands.append)
+    winners = []
+    sizes, lengths = [c.size for c in cands], [c.length for c in cands]
+    for name, values in (("size", sizes), ("length", lengths)):
+        best = max(values)
+        ties = values.count(best)
+        if ties != 1:
+            raise UniquenessError(f"{ties} {name}-maximal walks at p={p}")
+        winners.append(cands[values.index(best)])
+    if winners[0].m != winners[1].m:
         raise UniquenessError(f"size and length maximizers differ at p={p}")
-    return state["winner"]
+    return winners[0]
 
 
 def longest_walk_dp(p: int, compare_profile: bool = True) -> LongestWalkResult:
@@ -290,41 +271,32 @@ def partition_counts(n: int) -> list[int]:
     return counts
 
 
-def exhaustive_partition_search(
-    p: int,
-    size_cap: int,
-    require_unique: bool = True,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-) -> PartitionSearchResult:
-    """Largest p-core p'-partition among all partitions of size <= size_cap.
+def exhaustive_partition_search(p: int, size_cap: int) -> PartitionSearchResult:
+    """The unique largest p-core p'-partition among all partitions of size <= size_cap.
 
-    Visits every partition up to the cap, so the cap is budgeted through the
-    exact partition counts before starting.  Ties at the maximal size raise
-    unless require_unique is off, in which case the lexicographically
-    greatest winner is returned for determinism.
+    Visits every partition up to the cap, so the exact partition counts
+    must stay within SEARCH_BUDGET visits before starting, else ValueError.
+    Ties at the maximal size raise UniquenessError.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if size_cap < 0:
         raise ValueError("size_cap must be nonnegative")
     visits = sum(partition_counts(size_cap))
-    if visits > budget:
-        raise ValueError(f"search would visit {visits} partitions, above the budget of {budget}")
+    if visits > SEARCH_BUDGET:
+        raise ValueError(f"search would visit {visits} partitions, above the budget of {SEARCH_BUDGET}")
 
     best_size = 0
-    best: list[tuple[int, ...]] = [()]
+    best = [Partition(())]
     for n in range(1, size_cap + 1):
-        hits = [
-            parts
-            for parts in iter_partitions(n)
-            if is_p_regular(Partition(parts), p) and is_p_core(Partition(parts), p)
-        ]
+        candidates = map(Partition, iter_partitions(n))  # each built once, for both tests
+        hits = [lam for lam in candidates if is_p_regular(lam, p) and is_p_core(lam, p)]
         if hits:
             best_size = n
             best = hits
-    if require_unique and len(best) > 1:
+    if len(best) > 1:
         raise UniquenessError(f"{len(best)} maximal candidates of size {best_size} at p={p}")
-    return PartitionSearchResult(Partition(max(best)), best_size, len(best))
+    return PartitionSearchResult(best[0], best_size)
 
 
 def partition_to_abacus(lam: Partition, p: int) -> AbacusDisplay:

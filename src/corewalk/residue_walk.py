@@ -34,7 +34,8 @@ from .partitions import Partition
 S_CLASS = 1
 T_CLASS = 2
 
-DEFAULT_MAX_PARTS = 20_000_000
+MAX_PARTS = 20_000_000  # profile_to_partition's cap on the explicit part list
+_VERTEX_CAP = 100_000  # validate_walk records the visited vertices only up to this many
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +269,9 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     m = np.zeros(p, dtype=np.int64)
     m[1] = p - 1
     m[p - 1] = p - 2
-    if p >= 5:  # in place, with no p-length temporary
-        np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
-        np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
+    # in place, with no p-length temporary; at p = 3 the slices are empty
+    np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
+    np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
     _check(int(x[1 : p - 1].min()) >= 1 and int(y[1 : p - 1].min()) >= 1, "pair positivity", p)
     _check(int(m[1:].min()) >= 0, "nonnegative row counts", p)
     # 1 <= x, y and m[i] = p - y[i-1] - x[i] >= 0 put x[2..p-2] and y[1..p-3] below
@@ -388,14 +389,19 @@ def _runner_blocks(m: np.ndarray) -> Iterator[np.ndarray]:
         yield block
 
 
-def profile_to_partition(profile: LambdaProfile, max_parts: int = DEFAULT_MAX_PARTS) -> Partition:
-    """Materialize the explicit partition; refuses absurdly long part lists."""
+def profile_to_partition(profile: LambdaProfile) -> Partition:
+    """Materialize the explicit partition.
+
+    Refuses, with ValueError, a negative row count and a profile of more than
+    MAX_PARTS parts; the part count is summed exactly, so no int64 wrap can
+    slip a huge profile under the cap.
+    """
     p, rows = profile.p, profile.m[1:]
-    if not 0 <= max_parts < 2**32 or int(rows.min()) < 0:
-        raise ValueError(f"need nonnegative row counts and 0 <= max_parts < 2^32, got max_parts={max_parts}")
+    if int(rows.min()) < 0:
+        raise ValueError("need nonnegative row counts")
     total = _row_sums(profile.m, 1, p, p)[1]  # a row of i gaps holds p - i parts
-    if total > max_parts:
-        raise ValueError(f"profile has {total} parts, above the cap of {max_parts}")
+    if total > MAX_PARTS:
+        raise ValueError(f"profile has {total} parts, above the cap of {MAX_PARTS}")
     lam = partition_from_row_counts(p, rows.tolist())
     if lam.size != profile.size:
         raise VerificationError(f"materialized size {lam.size} != profile size {profile.size} at p={p}")
@@ -443,7 +449,7 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
     return p, start
 
 
-def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
+def validate_walk(profile: LambdaProfile) -> WalkValidation:
     """Replay the walk encoded by profile.m, label by label.
 
     Checks that the walk never revisits 0, sits at p-1 after the opening
@@ -453,7 +459,7 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
     again in Python ints, to name its violation.  The replay is O(p) with one
     inverse table and O(_BLOCK) temporaries.  The visited vertices, up to
     where the replay stops, are recorded only when there are at most
-    vertex_cap of them.
+    _VERTEX_CAP of them.
     """
     p, m, y = profile.p, profile.m, profile.y
     inv = inverse_range(p - 1, p)
@@ -482,7 +488,7 @@ def validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkVali
     vertices: Optional[list[int]] = None
     # every label before i passed, so 0 <= m[j] < 2p there, and walked < p:
     # the recorded count is below 2p^2 < 2^63 for p < _FAST_P_LIMIT = 2^31
-    if int(m[1:i].sum()) + walked + 1 <= vertex_cap:
+    if int(m[1:i].sum()) + walked + 1 <= _VERTEX_CAP:
         steps = np.repeat(np.arange(1, i + 1, dtype=np.int64), np.append(m[1:i], walked))
         vertices = [0] + (np.cumsum(steps) % p).tolist()
     return WalkValidation(violation is None, violation, vertices, v if violation is None else None)
@@ -523,8 +529,8 @@ def check_sum_identity(profile: LambdaProfile) -> list[str]:
     return out
 
 
-def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfile) -> tuple[list[str], list[str]]:
-    """Per-residue pair bounds, decided in exact integers.
+def check_st_lemmas(classification: ResidueClassification) -> tuple[list[str], list[str]]:
+    """Per-residue pair bounds on the classification's pairs, decided in exact integers.
 
     Fraction-form: p/mx < x+y < p/mx + mx - 1 with mx = max(r, s), compared
     as mx (x+y) against p and p + mx^2 - mx.  Sum-form: x + y <= r + s is
@@ -532,14 +538,16 @@ def check_st_lemmas(classification: ResidueClassification, profile: LambdaProfil
     (the construction never relies on the equality).  The uint16 witnesses
     are widened to int64 first: r + s and mx^2 do not fit 16 bits.  Each
     message names its first failing residue, found over blocks of labels.
+    The pairs checked are the profile's too: lambda_profile keeps the
+    classification's x and y arrays.
     """
-    p, cls_, prof = classification.p, classification, profile
+    p, cls_ = classification.p, classification
     first: dict[int, str] = {}  # message number -> the message at its first failing residue
     for lo, hi in label_blocks(1, p - 1):
         fraction, sum_form = cls_.kind[lo:hi] == S_CLASS, cls_.kind[lo:hi] == T_CLASS
         wr, ws = cls_.wr[lo:hi].astype(np.int64), cls_.ws[lo:hi].astype(np.int64)
         mx, rs = np.maximum(wr, ws), wr + ws
-        x, y = prof.x[lo:hi], prof.y[lo:hi]
+        x, y = cls_.x[lo:hi], cls_.y[lo:hi]
         t = x + y
         wrapped = (t < x) != (y < 0)  # the int64 sum overflowed: t moved against y's sign
         if wrapped.any():

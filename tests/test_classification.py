@@ -146,13 +146,12 @@ def test_witness_bound_fits_uint16():
 def test_lemma_check_widens_witnesses_before_arithmetic():
     # synthetic witnesses whose r + s and mx^2 wrap in 16 bits
     cls = classify_residues(101)
-    prof = lambda_profile(101, cls)
     i_s = int(np.flatnonzero(cls.kind == S_CLASS)[0])
     i_t = int(np.flatnonzero(cls.kind == T_CLASS)[0])
     wr, ws = cls.wr.copy(), cls.ws.copy()
     wr[i_s] = 40000
     wr[i_t], ws[i_t] = 40000, 25537  # r + s = 65537 = 2^16 + 1
-    viol, notes = check_st_lemmas(dataclasses.replace(cls, wr=wr, ws=ws), prof)
+    viol, notes = check_st_lemmas(dataclasses.replace(cls, wr=wr, ws=ws))
     assert viol == []
     assert notes == [f"sum-form equality missed at i={i_t}"]
 

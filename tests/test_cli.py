@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from corewalk import cli, oracle
 from corewalk.cli import _decimal_ratio, main
+from corewalk.errors import VerificationError
 
 
 def run(capsys, *argv):
@@ -87,6 +88,16 @@ def test_verify_check_selection(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == "p,c-bounds,symmetry,identity,notes"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_repeated_check_names_run_once(capsys, fmt):
+    # the CSV header, meta.checks and the text line name each check once, like the JSON rows
+    argv = ["verify", "--min", "3", "--max", "30", "--format", fmt, "--checks"]
+    once = run(capsys, *argv, "theorem")
+    assert run(capsys, *argv, "theorem,theorem") == once
+    assert run(capsys, *argv, "theorem, lemmas,theorem,lemmas") == run(capsys, *argv, "theorem,lemmas")
+    assert once[0] == 0
 
 
 def test_verify_bad_range(capsys):
@@ -167,6 +178,23 @@ def test_oracle_cap_exceeded(capsys):
     code, _, err = run(capsys, "oracle", "-p", "23", "--mode", "walks")
     assert code == 2
     assert "capped" in err
+
+
+def test_oracle_longest_dp_cap_exceeded(capsys):
+    # the dynamic program's own cap, MAX_DP_PRIME = 500, refuses p
+    code, out, err = run(capsys, "oracle", "-p", "503", "--mode", "longest-dp")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "capped" in err
+
+
+def test_verification_failure_exits_1(capsys, monkeypatch):
+    def refused(p, classification=None):
+        raise VerificationError(f"profile invariant violated at p={p}: row count symmetry fails at i=2")
+
+    monkeypatch.setattr(cli, "lambda_profile", refused)
+    code, out, err = run(capsys, "lambda", "-p", "11")
+    assert (code, out) == (1, "")
+    assert err == "verification failure: profile invariant violated at p=11: row count symmetry fails at i=2\n"
 
 
 def test_table_csv_frozen(capsys):

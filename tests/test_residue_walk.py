@@ -194,10 +194,11 @@ def test_materialized_partition_is_p_core_p_regular(p):
     assert is_p_regular(lam, p)
 
 
-def test_profile_to_partition_frozen():
+def test_profile_to_partition_frozen(monkeypatch):
     assert profile_to_partition(lambda_profile(3)).parts == (4, 2, 2, 1, 1)
-    with pytest.raises(ValueError):
-        profile_to_partition(lambda_profile(101), max_parts=100)
+    monkeypatch.setattr(residue_walk, "MAX_PARTS", 100)
+    with pytest.raises(ValueError, match="above the cap of 100"):
+        profile_to_partition(lambda_profile(101))
 
 
 def test_profile_to_partition_counts_parts_exactly(monkeypatch):
@@ -213,8 +214,6 @@ def test_profile_to_partition_counts_parts_exactly(monkeypatch):
     m[1] = -1
     with pytest.raises(ValueError, match="nonnegative"):
         profile_to_partition(dataclasses.replace(prof, m=m))
-    with pytest.raises(ValueError, match="max_parts"):
-        profile_to_partition(prof, max_parts=2**32)
 
 
 def test_partition_from_row_counts():
@@ -243,9 +242,10 @@ def test_validate_walk_accepts_honest_profiles(p):
         assert 0 not in wv.vertices[1:]
 
 
-def test_validate_walk_skips_recording_when_long():
+def test_validate_walk_skips_recording_when_long(monkeypatch):
     prof = lambda_profile(5)
-    wv = validate_walk(prof, vertex_cap=3)
+    monkeypatch.setattr(residue_walk, "_VERTEX_CAP", 3)
+    wv = validate_walk(prof)
     assert wv.ok
     assert wv.vertices is None
 
@@ -304,7 +304,7 @@ def test_structural_checks_pass_on_honest_profiles(p):
     prof = lambda_profile(p, cls)
     assert check_symmetry(prof) == []
     assert check_sum_identity(prof) == []
-    viol, _notes = check_st_lemmas(cls, prof)
+    viol, _notes = check_st_lemmas(cls)
     assert viol == []
 
 
@@ -362,11 +362,10 @@ def test_sum_identity_check_catches_broken_gap_prefix(index, expected):
 )
 def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, expected_notes):
     cls = classify_residues(101)
-    prof = lambda_profile(101, cls)
     i = int(np.flatnonzero(cls.kind == kind)[0])
-    x, y = prof.x.copy(), prof.y.copy()
+    x, y = cls.x.copy(), cls.y.copy()
     x[i], y[i] = new_sum(int(cls.wr[i] + cls.ws[i])), 0  # the pair sum x + y is now new_sum
-    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    viol, notes = check_st_lemmas(dataclasses.replace(cls, x=x, y=y))
     assert viol == [f"{text} at i={i}" for text in expected_viol]
     assert notes == [f"{text} at i={i}" for text in expected_notes]
 
@@ -384,11 +383,10 @@ def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, exp
 )
 def test_lemma_check_decides_on_the_exact_pair_sum(i, kind, value, expected_viol, expected_notes):
     cls = classify_residues(101)
-    prof = lambda_profile(101, cls)
     assert cls.kind[i] == kind and (kind == T_CLASS or max(cls.wr[i], cls.ws[i]) == 3)
-    x, y = prof.x.copy(), prof.y.copy()
+    x, y = cls.x.copy(), cls.y.copy()
     x[i] = y[i] = value
-    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    viol, notes = check_st_lemmas(dataclasses.replace(cls, x=x, y=y))
     assert viol == [f"{text} at i={i}" for text in expected_viol]
     assert notes == [f"{text} at i={i}" for text in expected_notes]
 
@@ -418,15 +416,14 @@ def test_lemma_check_keeps_message_order_across_blocks(monkeypatch, block):
     # 7 labels every message first fails in its own block, in the reverse of
     # the message order, and fails again in a later block
     cls = classify_residues(101)
-    prof = lambda_profile(101, cls)
     rs = cls.wr.astype(np.int64) + cls.ws
     sums = {10: rs[10] - 1, 27: rs[27] + 1, 60: rs[60] + 1, 52: 101, 81: 1, 95: 1}
     assert [int(cls.kind[i]) for i in sums] == [T_CLASS] * 3 + [S_CLASS] * 3
-    x, y = prof.x.copy(), prof.y.copy()
+    x, y = cls.x.copy(), cls.y.copy()
     for i, t in sums.items():
         x[i], y[i] = t, 0
     monkeypatch.setattr(modarith, "_BLOCK", block)
-    viol, notes = check_st_lemmas(cls, dataclasses.replace(prof, x=x, y=y))
+    viol, notes = check_st_lemmas(dataclasses.replace(cls, x=x, y=y))
     assert viol == [
         "fraction-form lower bound fails at i=81",
         "fraction-form upper bound fails at i=52",
@@ -439,10 +436,9 @@ def test_lemma_check_temporaries_do_not_grow_with_p():
     peaks = []
     for p in (primes_in_range(50_000, 50_100)[0], primes_in_range(200_000, 200_100)[0]):
         cls = classify_residues(p)
-        prof = lambda_profile(p, cls)
         tracemalloc.start()
         try:
-            assert check_st_lemmas(cls, prof)[0] == []
+            assert check_st_lemmas(cls)[0] == []
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
