@@ -21,9 +21,12 @@ import numpy as np
 # Counts outside 0 <= b_i < 2^63 are refused with ValueError
 # (size_from_bead_multiplicities).
 # Witness entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares
-# do not.
+# do not.  Minimal-pair entries 1 <= x, y < p <= 2^31 - 1 fit int32; their sums
+# and products do not, so every reader that adds or multiplies them widens a
+# block to int64 first.
 _FAST_P_LIMIT = 1 << 31
 assert math.isqrt(_FAST_P_LIMIT - 1) < 1 << 16
+assert _FAST_P_LIMIT - 1 <= np.iinfo(np.int32).max
 
 # Vectorized passes take this many labels at a time, so their temporaries
 # stay O(_BLOCK) whatever p is.

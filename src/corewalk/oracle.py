@@ -37,12 +37,6 @@ class LongestWalkResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class PartitionSearchResult:
-    partition: Partition
-    size: int
-
-
-@dataclass(frozen=True)
 class AbacusDisplay:
     """Beads on p runners: position q sits on runner q mod p in row q // p + 1.
 
@@ -271,7 +265,7 @@ def partition_counts(n: int) -> list[int]:
     return counts
 
 
-def exhaustive_partition_search(p: int, size_cap: int) -> PartitionSearchResult:
+def exhaustive_partition_search(p: int, size_cap: int) -> Partition:
     """The unique largest p-core p'-partition among all partitions of size <= size_cap.
 
     Visits every partition up to the cap, so the exact partition counts
@@ -286,17 +280,15 @@ def exhaustive_partition_search(p: int, size_cap: int) -> PartitionSearchResult:
     if visits > SEARCH_BUDGET:
         raise ValueError(f"search would visit {visits} partitions, above the budget of {SEARCH_BUDGET}")
 
-    best_size = 0
     best = [Partition(())]
     for n in range(1, size_cap + 1):
         candidates = map(Partition, iter_partitions(n))  # each built once, for both tests
         hits = [lam for lam in candidates if is_p_regular(lam, p) and is_p_core(lam, p)]
         if hits:
-            best_size = n
             best = hits
     if len(best) > 1:
-        raise UniquenessError(f"{len(best)} maximal candidates of size {best_size} at p={p}")
-    return PartitionSearchResult(best[0], best_size)
+        raise UniquenessError(f"{len(best)} maximal candidates of size {best[0].size} at p={p}")
+    return best[0]
 
 
 def partition_to_abacus(lam: Partition, p: int) -> AbacusDisplay:

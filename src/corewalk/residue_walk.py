@@ -112,7 +112,7 @@ class ResidueClassification:
 
     kind[i] is S_CLASS or T_CLASS (uint8), (wr[i], ws[i]) is the witness
     (r, s) (uint16: r, s <= isqrt(p), see _FAST_P_LIMIT) and (x[i], y[i])
-    the minimal pair (int64); index 0 and p-1 hold zeros.
+    the minimal pair (int32: 1 <= x, y < p < 2^31); index 0 and p-1 hold zeros.
     """
 
     p: int
@@ -175,8 +175,8 @@ def classify_residues(p: int) -> ResidueClassification:
     kind = np.zeros(p, dtype=np.uint8)
     wr = np.zeros(p, dtype=np.uint16)
     ws = np.zeros(p, dtype=np.uint16)
-    x = np.zeros(p, dtype=np.int64)
-    y = np.zeros(p, dtype=np.int64)
+    x = np.zeros(p, dtype=np.int32)
+    y = np.zeros(p, dtype=np.int32)
 
     # the (mn, mx) landings; each product has both factors below p
     i_s = p - mx
@@ -227,13 +227,16 @@ def classify_residues(p: int) -> ResidueClassification:
         raise ClassificationError(f"split point misses divisibility at p={p}")
     del miss
     _swap_where(other, w, folded)
-    x[i_s], y[i_s] = other, w
+    # 1 <= w < mx, so mn w < mn mx < p and 0 < other < p: both fit the int32 pairs
+    x[i_s] = other.astype(np.int32)
+    y[i_s] = w.astype(np.int32)
     del i_s, folded, w, other
 
     for lo, hi in label_blocks(1, half + 1):
         xb, yb, sum_form = x[lo:hi], y[lo:hi], kind[lo:hi] == T_CLASS
         xb += wr[lo:hi] * sum_form  # x, y are still 0 there: fraction-form pairs went to S_CLASS
         yb += ws[lo:hi] * sum_form
+        # i, x, y < p, so the int64 products and their sum stay below 2 p^2 < 2^63
         i = np.arange(lo, hi, dtype=np.int64)
         bad = np.flatnonzero((i * xb + (i + 1) * yb) % p)
         if bad.size:
@@ -269,14 +272,17 @@ def lambda_profile(p: int, classification: Optional[ResidueClassification] = Non
     m = np.zeros(p, dtype=np.int64)
     m[1] = p - 1
     m[p - 1] = p - 2
-    # in place, with no p-length temporary; at p = 3 the slices are empty
-    np.subtract(p, y[1 : p - 2], out=m[2 : p - 1])
-    np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1])
+    # in place, with no p-length temporary; at p = 3 the slices are empty.  The
+    # pairs may be int32: the subtractions run in int64, where p - y - x cannot
+    # wrap for any entries of 32 bits
+    np.subtract(p, y[1 : p - 2], out=m[2 : p - 1], dtype=np.int64)
+    np.subtract(m[2 : p - 1], x[2 : p - 1], out=m[2 : p - 1], dtype=np.int64)
     _check(int(x[1 : p - 1].min()) >= 1 and int(y[1 : p - 1].min()) >= 1, "pair positivity", p)
     _check(int(m[1:].min()) >= 0, "nonnegative row counts", p)
     # 1 <= x, y and m[i] = p - y[i-1] - x[i] >= 0 put x[2..p-2] and y[1..p-3] below
     # p, so their int64 sums stay below p^2 < 2^62; the two ends join as ints
-    c = int(np.sum(x[2 : p - 1]) + np.sum(y[1 : p - 2])) + int(x[1]) + int(y[p - 2])
+    c = int(np.sum(x[2 : p - 1], dtype=np.int64) + np.sum(y[1 : p - 2], dtype=np.int64))
+    c += int(x[1]) + int(y[p - 2])
 
     size = size_from_bead_multiplicities(p, _runner_blocks(m))
     profile = LambdaProfile(p, m, x, y, c, size)
@@ -429,7 +435,8 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
     for lo, hi in label_blocks(1, p):
         i = np.arange(lo, hi, dtype=np.int64)
         inv_i = inv[lo:hi]
-        tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1], -p, p)
+        # y may be int32: widened to int64 before the clip, tail lies in [1-p, 2p-1]
+        tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1].astype(np.int64, copy=False), -p, p)
         mi = np.clip(m[lo:hi], -1, 2 * p)
         rest = mi - tail
         end = (p - 1 + np.clip(rest, -1, p) * i) % p
@@ -536,10 +543,11 @@ def check_st_lemmas(classification: ResidueClassification) -> tuple[list[str], l
     as mx (x+y) against p and p + mx^2 - mx.  Sum-form: x + y <= r + s is
     the hard bound; x + y = r + s exactly is reported as a note when missed
     (the construction never relies on the equality).  The uint16 witnesses
-    are widened to int64 first: r + s and mx^2 do not fit 16 bits.  Each
-    message names its first failing residue, found over blocks of labels.
-    The pairs checked are the profile's too: lambda_profile keeps the
-    classification's x and y arrays.
+    and the int32 pairs are widened to int64 a block at a time: r + s and
+    mx^2 do not fit 16 bits, and x + y reaches 2^32 - 2 at p = 2^31 - 1.
+    Each message names its first failing residue, found over blocks of
+    labels.  The pairs checked are the profile's too: lambda_profile keeps
+    the classification's x and y arrays.
     """
     p, cls_ = classification.p, classification
     first: dict[int, str] = {}  # message number -> the message at its first failing residue
@@ -547,7 +555,8 @@ def check_st_lemmas(classification: ResidueClassification) -> tuple[list[str], l
         fraction, sum_form = cls_.kind[lo:hi] == S_CLASS, cls_.kind[lo:hi] == T_CLASS
         wr, ws = cls_.wr[lo:hi].astype(np.int64), cls_.ws[lo:hi].astype(np.int64)
         mx, rs = np.maximum(wr, ws), wr + ws
-        x, y = cls_.x[lo:hi], cls_.y[lo:hi]
+        # int32 pairs give |x + y| < 2^32 in int64; only int64 pairs can wrap
+        x, y = (a[lo:hi].astype(np.int64, copy=False) for a in (cls_.x, cls_.y))
         t = x + y
         wrapped = (t < x) != (y < 0)  # the int64 sum overflowed: t moved against y's sign
         if wrapped.any():

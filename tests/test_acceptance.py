@@ -51,7 +51,7 @@ def test_criterion_1_known_example(tmp_path):
     text = out.read_text()
     ok = ok and "size: 10" in text and "parts: 4,2,2,1,1" in text
     search = exhaustive_partition_search(3, 16)
-    ok = ok and search.partition.parts == (4, 2, 2, 1, 1)
+    ok = ok and search.parts == (4, 2, 2, 1, 1)
     walk = max_size_walk(3)
     ok = ok and walk.m == (2, 1) and walk.size == 10
     elapsed = time.perf_counter() - t0

@@ -51,7 +51,17 @@ def test_tracer_counts_the_profile_arrays():
     tracer = _tracing().Tracer({"residue_walk": residue_walk})
     tracer.count_profile(prof)
     assert tracer.walk_edges == 71
-    assert tracer.profile_bytes == 6 * prof.m.nbytes
+    arrays = (prof.m, prof.b, prof.d, prof.c_prefix, prof.x, prof.y)
+    assert tracer.profile_bytes == sum(a.nbytes for a in arrays)
+
+
+def test_profile_row_counts_stay_int64():
+    # checks.py's row_stacking_size casts m with np.asarray(m, dtype=np.int64): an
+    # int64 m passes through as a view, a narrower one would be copied whole while
+    # the profile is alive and raise the benchmark's peak RSS
+    prof = lambda_profile(1009)
+    assert prof.m.dtype == np.int64
+    assert prof.x.dtype == prof.y.dtype == np.int32
 
 
 def test_profile_keeps_the_attributes_the_checks_read():

@@ -4,7 +4,8 @@ validate_walk, inverse_range and size_from_bead_multiplicities evaluate
 p-length loops as numpy passes over blocks of modarith._BLOCK labels.  The
 scalar loops they replaced are kept here as references, and every test that
 compares the two shrinks the block so that failures and sums straddle block
-edges.
+edges.  The readers of the int32 minimal pairs are run on int64 copies too,
+and must reach the same verdicts.
 """
 
 import dataclasses
@@ -23,10 +24,17 @@ from corewalk import modarith
 from corewalk.modarith import _FAST_P_LIMIT, inverse_range, primes_in_range
 from corewalk.oracle import enumerate_valid_walks, longest_walk_dp
 from corewalk.residue_walk import (
+    S_CLASS,
+    T_CLASS,
     LambdaProfile,
+    ResidueClassification,
     WalkValidation,
     _first_failing_label,
     _runner_blocks,
+    check_st_lemmas,
+    check_sum_identity,
+    check_symmetry,
+    classify_residues,
     lambda_profile,
     size_from_bead_multiplicities,
     validate_walk,
@@ -116,7 +124,8 @@ def _profile(p: int) -> LambdaProfile:
 
 
 def _tamper(prof: LambdaProfile, field: str, changes: dict[int, int]) -> LambdaProfile:
-    arr = getattr(prof, field).copy()
+    # an int64 copy: the stored pairs are int32, and the deltas reach 2^62
+    arr = getattr(prof, field).astype(np.int64)
     for idx, delta in changes.items():
         arr[idx] += delta
     return dataclasses.replace(prof, **{field: arr})
@@ -337,9 +346,66 @@ def test_replay_bounds_hold_at_the_supported_limit():
 def test_block_replay_matches_scalar_replay_at_extreme_entries(p, block, field, value):
     prof = _profile(p)
     for label in (p // 2, p - 1):  # label i reads m[i] and y[i-1]
-        arr = getattr(prof, field).copy()
+        arr = getattr(prof, field).astype(np.int64)  # the int32 pairs cannot hold the value
         arr[label if field == "m" else label - 1] = value
         _assert_same_replay(dataclasses.replace(prof, **{field: arr}), block)
+
+
+INT32 = np.iinfo(np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_readers_agree_on_int32_and_int64_pairs(data):
+    # the stored int32 pairs and int64 copies of them, tampered at random
+    # entries with values that fit 32 bits, give every pair reader one verdict
+    p = data.draw(st.sampled_from(PRIMES_TO_600))
+    prof = _profile(p)
+    cls = classify_residues(p)
+    x, y, m = cls.x.copy(), cls.y.copy(), prof.m.copy()
+    value = st.one_of(st.integers(INT32.min, INT32.max), st.integers(-3 * p, 3 * p))
+    for _ in range(data.draw(st.integers(1, 3))):
+        arr = data.draw(st.sampled_from([x, y, m]))
+        arr[data.draw(st.integers(0, p - 1))] = data.draw(value)
+    wide = x.astype(np.int64), y.astype(np.int64)
+    assert x.dtype == y.dtype == np.int32
+    results = []
+    for xs, ys in ((x, y), wide):
+        tampered = dataclasses.replace(prof, x=xs, y=ys, m=m)
+        results.append(
+            (
+                check_st_lemmas(dataclasses.replace(cls, x=xs, y=ys)),
+                validate_walk(tampered),
+                check_symmetry(tampered),
+                check_sum_identity(tampered),
+            )
+        )
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "kind, witness, expected",
+    [
+        (S_CLASS, (2, 1), (["fraction-form upper bound fails at i=1"], [])),
+        (T_CLASS, (1, 1), (["sum-form bound fails at i=1"], ["sum-form equality missed at i=1"])),
+    ],
+)
+def test_lemma_check_sums_int32_pairs_at_the_supported_limit(kind, witness, expected):
+    # p = 2^31 - 1 and x = y = 2^31 - 1, the largest entries an int32 pair
+    # holds: their int32 sum wraps to -2, and the exact sum 2^32 - 2 = 2p
+    # breaks each form's upper bound.  Only label 1 is classified (label 2
+    # has no class), and one block covers the labels that the arrays hold.
+    p = INT32.max
+    pair = np.array([0, p, 0], dtype=np.int32)
+    assert int((pair + pair)[1]) == -2
+    wr, ws = (np.array([0, w, 0], dtype=np.uint16) for w in witness)
+    cls = ResidueClassification(p, np.array([0, kind, 0], dtype=np.uint8), wr, ws, pair, pair)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", 1 << 31)
+        verdict = check_st_lemmas(cls)
+        wide = pair.astype(np.int64)
+        assert check_st_lemmas(dataclasses.replace(cls, x=wide, y=wide)) == verdict
+    assert verdict == expected
 
 
 def test_oracles_stay_on_python_ints():

@@ -2,7 +2,7 @@
 
 classify_residues decides its duplicate and coverage checks with uint8 class
 marks on the lower half of the residues, stores the witnesses as uint16 and
-copies the upper half from the lower.  The version it replaced, with two
+the pairs as int32, and copies the upper half from the lower.  The version it replaced, with two
 int64 bincounts and int64 witnesses over all residues, is kept here as a
 reference; every ClassificationError branch is reached by a corrupted pair
 table, or by a corrupted inverse table where no pair table can reach it.
@@ -97,10 +97,10 @@ def reference_classify_residues(p: int) -> ResidueClassification:
 @pytest.mark.parametrize("p", primes_in_range(3, 3000) + [10007, 100003, 1000003])
 def test_classification_matches_reference(p):
     got, want = classify_residues(p), reference_classify_residues(p)
-    for name in ("kind", "x", "y"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for name in ("wr", "ws"):
+    assert got.kind.dtype == want.kind.dtype
+    # the pairs are stored as int32 (every entry is below p < 2^31); the reference keeps int64
+    assert got.x.dtype == got.y.dtype == np.int32
+    for name in ("kind", "wr", "ws", "x", "y"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -171,11 +171,11 @@ def test_classification_memory_per_residue():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 38 * p
+    assert peak < 28 * p  # 25.6 B per residue measured
 
 
-def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
-    # kind (1 B), wr, ws (2 B each), x, y and m (8 B each): 29 B per residue
+def test_classification_and_profile_hold_at_most_22_bytes_per_residue():
+    # kind (1 B), wr, ws (2 B each), x, y (4 B each) and m (8 B): 21 B per residue
     p = 200003
     _coprime_pair_tables(math.isqrt(p))  # warm: the table is not counted
     tracemalloc.start()
@@ -186,7 +186,7 @@ def test_classification_and_profile_hold_at_most_30_bytes_per_residue():
     finally:
         tracemalloc.stop()
     assert prof.p == cls.p == p
-    assert held <= 30 * p
+    assert held <= 22 * p
 
 
 def _corrupted(edit):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corewalk import cli, oracle
+from corewalk import cli, oracle, residue_walk
 from corewalk.cli import _decimal_ratio, main
 from corewalk.errors import VerificationError
 
@@ -70,9 +70,23 @@ def test_lambda_rejects_composite(capsys):
 
 
 def test_lambda_parts_cap(capsys):
-    code, _, err = run(capsys, "lambda", "-p", "307", "--emit", "parts")
+    # profile_to_partition's MAX_PARTS refusal: 20,160,888 parts at p = 353
+    # (19,459,890 at p = 349, the largest prime under the cap)
+    code, _, err = run(capsys, "lambda", "-p", "353", "--emit", "parts")
     assert code == 2
-    assert "limited to p <= 300" in err
+    assert "profile has 20160888 parts, above the cap of 20000000" in err
+
+
+def test_lambda_parts_cap_follows_the_constant(capsys, monkeypatch):
+    # p = 11 has 395 parts: the cut-off moves with residue_walk.MAX_PARTS
+    monkeypatch.setattr(residue_walk, "MAX_PARTS", 394)
+    code, _, err = run(capsys, "lambda", "-p", "11", "--emit", "parts")
+    assert code == 2
+    assert "profile has 395 parts, above the cap of 394" in err
+    monkeypatch.setattr(residue_walk, "MAX_PARTS", 395)
+    code, out, _ = run(capsys, "lambda", "-p", "11", "--emit", "parts")
+    assert code == 0
+    assert len(out.split("parts: ")[1].split(",")) == 395
 
 
 def test_verify_text(capsys):

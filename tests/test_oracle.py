@@ -115,26 +115,26 @@ def test_iter_partitions_respects_max_part():
 
 def test_exhaustive_search_finds_the_known_maximum():
     r = exhaustive_partition_search(3, 16)
-    assert r.partition.parts == (4, 2, 2, 1, 1)
+    assert r.parts == (4, 2, 2, 1, 1)
     assert r.size == 10
 
 
 def test_exhaustive_search_agrees_with_profile_at_p3():
     prof = lambda_profile(3)
     r = exhaustive_partition_search(3, prof.size)
-    assert r.partition == profile_to_partition(prof)
+    assert r == profile_to_partition(prof)
 
 
 def test_exhaustive_search_cap_semantics():
     # cap 9 excludes the true maximum of size 10; the best below is unique
     r = exhaustive_partition_search(3, 9)
-    assert r.partition.parts == (4, 2, 1, 1)
+    assert r.parts == (4, 2, 1, 1)
     assert r.size == 8
 
 
 def test_exhaustive_search_p2():
     r = exhaustive_partition_search(2, 3)
-    assert r.partition.parts == (1,)
+    assert r.parts == (1,)
     assert r.size == 1
 
 
@@ -153,7 +153,7 @@ def test_exhaustive_search_budget():
 
 def test_empty_cap_returns_empty_partition():
     r = exhaustive_partition_search(3, 0)
-    assert r.partition == Partition(())
+    assert r == Partition(())
     assert r.size == 0
 
 

@@ -384,7 +384,7 @@ def test_lemma_check_catches_each_broken_bound(kind, new_sum, expected_viol, exp
 def test_lemma_check_decides_on_the_exact_pair_sum(i, kind, value, expected_viol, expected_notes):
     cls = classify_residues(101)
     assert cls.kind[i] == kind and (kind == T_CLASS or max(cls.wr[i], cls.ws[i]) == 3)
-    x, y = cls.x.copy(), cls.y.copy()
+    x, y = cls.x.astype(np.int64), cls.y.astype(np.int64)  # int64 copies, so the sum can wrap
     x[i] = y[i] = value
     viol, notes = check_st_lemmas(dataclasses.replace(cls, x=x, y=y))
     assert viol == [f"{text} at i={i}" for text in expected_viol]
