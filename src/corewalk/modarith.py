@@ -19,7 +19,9 @@ import numpy as np
 # 24-bit limbs L_j; L_j L_k < 2^48 and t L_j < 2^38 for an offset t < _BLOCK,
 # so a limb sum over one block of _BLOCK = 2^14 runners stays below 2^62.
 # Counts outside 0 <= b_i < 2^63 are refused with ValueError
-# (size_from_bead_multiplicities).
+# (size_from_bead_multiplicities).  mod_p reduces an int64 a as a - (a // p) p:
+# (a // p) p lies in (a - p, a], so |(a // p) p| <= |a| < 2^63 for a >= 0 and
+# nothing wraps for any a >= p - 2^63; every term it reduces is nonnegative.
 # Witness entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares
 # do not.  Minimal-pair entries 1 <= x, y < p <= 2^31 - 1 fit int32; their sums
 # and products do not, so every reader that adds or multiplies them widens a
@@ -39,15 +41,31 @@ def label_blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + _BLOCK, stop)
 
 
+def mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p in place for a 1-D int64 array a and a scalar p > 0; returns a.
+
+    numpy divides by a scalar with a precomputed multiply and shift
+    (Granlund & Montgomery, PLDI 1994) but takes a remainder with one
+    hardware division per entry, so a - (a // p) p beats a %= p.  It runs
+    one block of _BLOCK entries at a time through one quotient buffer, so
+    its temporary is O(_BLOCK) whatever the length of a.
+    """
+    q = np.empty(min(a.size, _BLOCK), dtype=np.int64)
+    for lo, hi in label_blocks(0, a.size):
+        block, qb = a[lo:hi], q[: hi - lo]
+        np.floor_divide(block, p, out=qb)
+        qb *= p
+        block -= qb
+    return a
+
+
 def _fermat_inverses(k: np.ndarray, p: int) -> np.ndarray:
     """k^(p-2) mod p by square-and-multiply; every product is below p^2."""
     acc = k.copy()
     for bit in bin(p - 2)[3:]:  # the bits after the leading 1
-        np.multiply(acc, acc, out=acc)
-        np.remainder(acc, p, out=acc)
+        mod_p(np.multiply(acc, acc, out=acc), p)
         if bit == "1":
-            np.multiply(acc, k, out=acc)
-            np.remainder(acc, p, out=acc)
+            mod_p(np.multiply(acc, k, out=acc), p)
     return acc
 
 
@@ -85,7 +103,7 @@ def inverse_range(n: int, p: int) -> np.ndarray:
     for lo, hi in rows[1:]:
         row = inv[lo:hi]
         np.multiply(np.arange(lo, hi, dtype=np.int64), inv[lo - cols : hi - cols], out=row)
-        row %= p
+        mod_p(row, p)
     run = _fermat_inverses(inv[half + 1 - cols : half + 1], p)  # of the column totals
     if half % cols:  # the last cols entries start at column half % cols
         run = np.roll(run, half % cols)
@@ -95,13 +113,13 @@ def inverse_range(n: int, p: int) -> np.ndarray:
         k = np.arange(lo, hi, dtype=np.int64)
         if lo > 1:
             np.multiply(r, inv[lo - cols : hi - cols], out=out)
-            out %= p
+            mod_p(out, p)
             r *= k
-            r %= p
+            mod_p(r, p)
         else:
             out[...] = r
         k *= out
-        k %= p
+        mod_p(k, p)
         bad = np.flatnonzero(k != 1)
         if bad.size:  # rows go downward, so the last report is the smallest
             failed = lo + int(bad[0])

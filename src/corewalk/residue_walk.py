@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import ClassificationError, VerificationError
-from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, require_odd_prime
+from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, mod_p, require_odd_prime
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
@@ -180,9 +180,9 @@ def classify_residues(p: int) -> ResidueClassification:
 
     # the (mn, mx) landings; each product has both factors below p
     i_s = p - mx
-    i_t = i_s * inv_small[mn + mx] % p
+    i_t = mod_p(i_s * inv_small[mn + mx], p)
     i_s *= inv_small[mx - mn]
-    i_s %= p
+    mod_p(i_s, p)
     for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
         if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
             raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
@@ -238,7 +238,7 @@ def classify_residues(p: int) -> ResidueClassification:
         yb += ws[lo:hi] * sum_form
         # i, x, y < p, so the int64 products and their sum stay below 2 p^2 < 2^63
         i = np.arange(lo, hi, dtype=np.int64)
-        bad = np.flatnonzero((i * xb + (i + 1) * yb) % p)
+        bad = np.flatnonzero(mod_p(i * xb + (i + 1) * yb, p))
         if bad.size:
             raise ClassificationError(f"pair fails its congruence at i={lo + int(bad[0])}, p={p}")
     # the upper half half+1..p-2 mirrors the lower half's 1..half-1
@@ -426,10 +426,20 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
     y to [-p, p] and m to [-1, 2p] changes no verdict.  A passing label also
     has 0 <= tail < steps_to_zero <= p and 0 <= rest < inv(i), so tail needs
     no reduction and rest is clipped to [-1, p] before its product: a label's
-    end vertex counts only once the label passed.  Three remainder passes
-    remain, and with tail in [1-p, 2p-1] and i < p every product and sum
-    stays below 2^63: |tail i| < 2p^2, v + tail i < 2p^2 and
-    |clip(rest) i| <= p^2, with p^2 < 2^62.
+    end vertex counts only once the label passed.
+
+    Two remainder passes remain (modarith.mod_p): the end vertices, and
+    steps_to_zero = ((p - v) inv(i) - 1) mod p + 1, congruent to
+    (p - v) inv(i).  The return to p-1 needs none: v + tail i = -1 mod p
+    means tail = steps_to_zero - inv(i) mod p, and where
+    0 <= tail < steps_to_zero, with steps_to_zero - inv(i) in
+    (-p, steps_to_zero), that congruence is the equality
+    tail == steps_to_zero - inv(i).  A label with tail < 0 is flagged on its
+    own and one with tail >= steps_to_zero fails the equality, so the same
+    labels are flagged as by a third remainder pass.  With tail in
+    [1-p, 2p-1], 0 <= v < p and 1 <= i, inv(i) < p, no term wraps: the end
+    vertex's p - 1 + clip(rest) i lies in [0, p^2) and (p - v) inv(i) - 1 in
+    [0, p (p-1)), with p^2 < 2^62.
     """
     start = 0
     for lo, hi in label_blocks(1, p):
@@ -439,13 +449,12 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
         tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1].astype(np.int64, copy=False), -p, p)
         mi = np.clip(m[lo:hi], -1, 2 * p)
         rest = mi - tail
-        end = (p - 1 + np.clip(rest, -1, p) * i) % p
+        end = mod_p(p - 1 + np.clip(rest, -1, p) * i, p)
         v = np.empty_like(end)
         v[0] = start
         v[1:] = end[:-1]
-        steps_to_zero = ((p - v) * inv_i - 1) % p + 1
-        bad = (tail < 0) | (mi < tail) | (tail >= steps_to_zero)
-        bad |= (v + tail * i) % p != p - 1
+        steps_to_zero = mod_p((p - v) * inv_i - 1, p) + 1
+        bad = (tail < 0) | (mi < tail) | (tail != steps_to_zero - inv_i)
         bad |= rest >= inv_i
         if hi == p:
             bad[-1] |= rest[-1] != p - 2

@@ -1,10 +1,10 @@
 """The int64 block passes against their Python-int references.
 
 validate_walk, inverse_range and size_from_bead_multiplicities evaluate
-p-length loops as numpy passes over blocks of modarith._BLOCK labels.  The
-scalar loops they replaced are kept here as references, and every test that
-compares the two shrinks the block so that failures and sums straddle block
-edges.  The readers of the int32 minimal pairs are run on int64 copies too,
+p-length loops as numpy passes over blocks of modarith._BLOCK labels, and
+modarith.mod_p reduces modulo p one block at a time.  The scalar loops they
+replaced are kept here as references, and every test that compares the two
+shrinks the block so that failures and sums straddle block edges.  The readers of the int32 minimal pairs are run on int64 copies too,
 and must reach the same verdicts.
 """
 
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corewalk import modarith
-from corewalk.modarith import _FAST_P_LIMIT, inverse_range, primes_in_range
+from corewalk.modarith import _FAST_P_LIMIT, inverse_range, mod_p, primes_in_range
 from corewalk.oracle import enumerate_valid_walks, longest_walk_dp
 from corewalk.residue_walk import (
     S_CLASS,
@@ -172,8 +172,31 @@ def test_block_replay_matches_scalar_replay_at_every_label(p):
     for label in range(1, p):
         for delta in (-2, -1, 1, 2):
             _assert_same_replay(_tamper(prof, "m", {label: delta}), 7)
+        # y[label] sets label+1's tail; a shift by p-1 or p takes it to or past
+        # steps_to_zero, or below 0 where steps_to_zero - inv(i) < 0
+        for delta in (-p, 1 - p, -2, -1, 1, 2, p - 1, p):
             if label <= p - 2:
                 _assert_same_replay(_tamper(prof, "y", {label: delta}), 7)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_block_replay_matches_scalar_replay_where_only_the_tail_range_fails(p):
+    # label i starts at v = p-1 + r (i-1) mod p for any count r < inv(i-1) of
+    # label i-1's last edges.  A tail of steps_to_zero - inv(i) + j p returns
+    # to p-1, so these tampers fail label i only by tail < 0 or by
+    # tail >= steps_to_zero, the cases that its equality check stands in for
+    prof = _profile(p)
+    y = prof.y.astype(np.int64)
+    for i in range(2, p):
+        inv_prev, inv_i = pow(i - 1, -1, p), pow(i, -1, p)
+        prev_tail = p - inv_prev - int(y[i - 2])
+        for r in range(inv_prev):
+            to_zero = (1 - r * (i - 1)) * inv_i % p or p  # from v = p-1 + r (i-1)
+            for tail in (to_zero - inv_i, to_zero - inv_i + p):
+                if not 0 <= tail < to_zero:
+                    m, ys = prof.m.copy(), y.copy()
+                    m[i - 1], m[i], ys[i - 1] = prev_tail + r, max(tail, 0), p - inv_i - tail
+                    _assert_same_replay(dataclasses.replace(prof, m=m, y=ys), 7)
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -183,6 +206,50 @@ def test_block_pass_flags_no_label_of_an_honest_walk(p, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modarith, "_BLOCK", block)
         assert _first_failing_label(p, prof.m, prof.y, inverse_range(p - 1, p)) == (p, 1)
+
+
+MOD_PRIMES = [3, 1000003, (1 << 31) - 1]
+
+
+def _mod_edges(p: int) -> list[int]:
+    return [0, 1, -1, p - 1, p, -p, 1 << 62, -(1 << 62)]
+
+
+def _assert_mod_p(values: list[int], p: int, block: int) -> None:
+    a = np.array(values, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", block)
+        got = mod_p(a, p)
+    assert got is a  # in place
+    assert a.tolist() == [v % p for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mod_p_matches_python_ints(data):
+    p = data.draw(st.sampled_from(MOD_PRIMES))
+    n = data.draw(st.sampled_from([1, 7, 64, 65]))
+    entry = st.one_of(st.integers(-(1 << 62), 1 << 62), st.sampled_from(_mod_edges(p)))
+    _assert_mod_p(data.draw(st.lists(entry, min_size=n, max_size=n)), p, 64)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 65])
+@pytest.mark.parametrize("p", MOD_PRIMES)
+def test_mod_p_at_the_edges_across_a_block_edge(p, n):
+    # every edge at every offset of a block of 64 and of the entry after it
+    edges = _mod_edges(p)
+    for shift in range(len(edges)):
+        _assert_mod_p([edges[(j + shift) % len(edges)] for j in range(n)], p, 64)
+
+
+def test_mod_p_temporaries_stay_one_block():
+    # 2^20 entries, 8 MiB: a full-length quotient would take as much again
+    p = 1000003
+    a = np.arange(-(1 << 19), 1 << 19, dtype=np.int64) * 8796093022
+    expected = np.remainder(a, p)
+    peak = _peak_traced_bytes(lambda: mod_p(a, p))
+    assert np.array_equal(a, expected)
+    assert 8 * modarith._BLOCK <= peak < 2 * 8 * modarith._BLOCK, peak
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,19 +392,19 @@ def test_inverse_range_names_the_smallest_prime_factor(q, block):
 
 def test_replay_bounds_hold_at_the_supported_limit():
     # _first_failing_label's int64 terms at their extremes, in Python ints:
-    # tail = (p - inv(i)) - clip(y, -p, p), rest clipped to [-1, p], i < p
+    # rest clipped to [-1, p], 1 <= i, inv(i) < p and 0 <= v < p; the two
+    # terms mod_p reduces are nonnegative, and none reaches 2^62
     p = (1 << 31) - 1  # the largest prime below _FAST_P_LIMIT
-    i, v, limit = p - 1, p - 1, 1 << 63
-    tails, rests = (1 - p, 2 * p - 1), (-1, p)
-    assert max(abs(t * i) for t in tails) < 2 * p * p < limit
-    assert max(abs(v + t * i) for t in tails) < 2 * p * p
-    assert max(abs(r * i) for r in rests) <= p * p < limit
-    assert max(abs(p - 1 + r * i) for r in rests) < limit
-    assert p * (p - 1) < limit  # (p - v) inv(i) with 0 <= v < p
+    i, rests, limit = p - 1, (-1, p), 1 << 62
+    assert max(abs(r * i) for r in rests) <= p * (p - 1) < limit
+    ends = [p - 1 + r * i for r in rests]
+    assert 0 <= min(ends) and max(ends) < p * p < limit
+    to_zero = [(p - v) * inv - 1 for v in (0, p - 1) for inv in (1, p - 1)]
+    assert 0 <= min(to_zero) and max(to_zero) < p * (p - 1)
     # and numpy's int64 gives the same values, so nothing wraps
-    ints = [v + t * i for t in tails] + [p - 1 + r * i for r in rests]
-    arr = np.concatenate((v + np.array(tails) * i, p - 1 + np.array(rests) * i))
-    assert arr.dtype == np.int64 and arr.tolist() == ints
+    v, inv = np.array([0, 0, p - 1, p - 1]), np.array([1, p - 1, 1, p - 1])
+    arr = np.concatenate((p - 1 + np.array(rests) * i, (p - v) * inv - 1))
+    assert arr.dtype == np.int64 and arr.tolist() == ends + to_zero
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])

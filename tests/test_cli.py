@@ -104,6 +104,33 @@ def test_verify_check_selection(capsys):
     assert header == "p,c-bounds,symmetry,identity,notes"
 
 
+def test_verify_reads_symmetry_and_identity_off_the_profile(capsys, monkeypatch):
+    # lambda_profile has run both checkers, so verify must not run them again
+    def rerun(profile):
+        raise AssertionError("verify re-ran a check that lambda_profile made")
+
+    monkeypatch.setattr(cli, "check_symmetry", rerun)
+    monkeypatch.setattr(cli, "check_sum_identity", rerun)
+    code, out, _ = run(capsys, "verify", "--min", "17", "--max", "200", "--checks", "c-bounds,symmetry,identity")
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "golden" / "verify_17_200_checks.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "checker, message",
+    [
+        ("check_symmetry", "row count symmetry fails at i=2"),
+        ("check_sum_identity", "gap total does not equal c + 1"),
+    ],
+)
+def test_verify_exits_1_when_the_profile_checks_fail(capsys, monkeypatch, checker, message):
+    # a violation raises inside lambda_profile, before verify prints a row
+    monkeypatch.setattr(residue_walk, checker, lambda profile: [message])
+    code, out, err = run(capsys, "verify", "--min", "17", "--max", "30", "--checks", "symmetry,identity")
+    assert (code, out) == (1, "")
+    assert err == f"verification failure: profile invariant violated at p=17: {message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_verify_repeated_check_names_run_once(capsys, fmt):
     # the CSV header, meta.checks and the text line name each check once, like the JSON rows
