@@ -30,7 +30,7 @@ from .bounds import (
     totient_sum_check,
 )
 from .errors import VerificationError
-from .modarith import primes_in_range, require_odd_prime
+from .modarith import label_blocks, primes_in_range, require_odd_prime
 from .oracle import exhaustive_partition_search, longest_walk_dp, max_size_walk
 from .partitions import format_partition
 # check_symmetry and check_sum_identity run inside lambda_profile; they are
@@ -62,6 +62,12 @@ def _decimal_ratio(num: int, den: int, digits: int = RATIO_DIGITS) -> str:
 def _decimal_fraction(value: Fraction) -> str:
     """value truncated toward zero to 9 digits, as totient-check prints its slack."""
     return _decimal_ratio(value.numerator, value.denominator, 9)
+
+
+def _comma_joined(values: Sequence[int]) -> str:
+    """The values as comma-separated decimals, joined one label block at a time
+    so that no string per value is held at once (p = 349 prints 19.5 M parts)."""
+    return ",".join([",".join(map(str, values[lo:hi])) for lo, hi in label_blocks(0, len(values))])
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -102,12 +108,12 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     if "b" in emit:
         fields["b"] = profile.b[1:].tolist()
     if "parts" in emit:
-        fields["parts"] = list(profile_to_partition(profile).parts)
+        fields["parts"] = profile_to_partition(profile).parts
     if args.fmt == "json":
         text = json.dumps({**fields, "size": str(profile.size)}, indent=2) + "\n"
     else:
         text = "".join(
-            f"{key}: {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+            f"{key}: {_comma_joined(value) if isinstance(value, (list, tuple)) else value}\n"
             for key, value in fields.items()
         )
     _write_output(text, args.output)
@@ -248,7 +254,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lines.append(f"unique maximal walk matches the profile: length={cand.length} size={cand.size}")
         lines.append("m: " + ",".join(map(str, cand.m)))
     elif args.mode == "longest-dp":
-        result = longest_walk_dp(p, compare_profile=False)  # m is compared whole below
+        result = longest_walk_dp(p)
         profile = lambda_profile(p)
         if result.m != tuple(profile.m[1:].tolist()):
             raise VerificationError(f"longest walk row counts differ from the profile at p={p}")

@@ -35,7 +35,6 @@ S_CLASS = 1
 T_CLASS = 2
 
 MAX_PARTS = 20_000_000  # profile_to_partition's cap on the explicit part list
-_VERTEX_CAP = 100_000  # validate_walk records the visited vertices only up to this many
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +72,6 @@ class LambdaProfile:
 class WalkValidation:
     ok: bool
     violation: Optional[str]
-    vertices: Optional[list[int]]
-    final_residue: Optional[int]
 
 
 class _PairTables(NamedTuple):
@@ -473,41 +470,30 @@ def validate_walk(profile: LambdaProfile) -> WalkValidation:
     label is checked in int64 blocks of _BLOCK labels by _first_failing_label
     (with its overflow bound), and only the first failing label is evaluated
     again in Python ints, to name its violation.  The replay is O(p) with one
-    inverse table and O(_BLOCK) temporaries.  The visited vertices, up to
-    where the replay stops, are recorded only when there are at most
-    _VERTEX_CAP of them.
+    inverse table and O(_BLOCK) temporaries.
     """
     p, m, y = profile.p, profile.m, profile.y
     inv = inverse_range(p - 1, p)
     i, v = _first_failing_label(p, m, y, inv)
-    violation: Optional[str] = None
-    walked = 0  # edges of label i the replay takes before it stops
-    if i < p:
-        mi = int(m[i])
-        tail = p - int(inv[i]) - int(y[i - 1])
-        if tail < 0:
-            violation = f"stored pair exceeds its cap before label {i}"
-        elif mi < tail and i == 1:
-            violation = f"opening climb needs {p - 1} label-1 edges, profile has {mi}"
-        elif mi < tail:
-            violation = f"label-{i} block is shorter than the return to p-1"
-        elif tail >= ((p - v) * int(inv[i]) - 1) % p + 1:
-            violation = f"walk hits 0 inside a label-{i} segment from {v}"
-        else:
-            walked = tail
-            if (v + tail * i) % p != p - 1:
-                violation = f"excursion over labels ({i - 1},{i}) does not return to p-1"
-            elif i == p - 1 and mi - tail != p - 2:
-                violation = f"final descent needs {p - 2} label-{p - 1} edges, got {mi - tail}"
-            else:
-                violation = f"walk hits 0 inside a label-{i} segment from {p - 1}"
-    vertices: Optional[list[int]] = None
-    # every label before i passed, so 0 <= m[j] < 2p there, and walked < p:
-    # the recorded count is below 2p^2 < 2^63 for p < _FAST_P_LIMIT = 2^31
-    if int(m[1:i].sum()) + walked + 1 <= _VERTEX_CAP:
-        steps = np.repeat(np.arange(1, i + 1, dtype=np.int64), np.append(m[1:i], walked))
-        vertices = [0] + (np.cumsum(steps) % p).tolist()
-    return WalkValidation(violation is None, violation, vertices, v if violation is None else None)
+    if i == p:
+        return WalkValidation(True, None)
+    mi = int(m[i])
+    tail = p - int(inv[i]) - int(y[i - 1])
+    if tail < 0:
+        violation = f"stored pair exceeds its cap before label {i}"
+    elif mi < tail and i == 1:
+        violation = f"opening climb needs {p - 1} label-1 edges, profile has {mi}"
+    elif mi < tail:
+        violation = f"label-{i} block is shorter than the return to p-1"
+    elif tail >= ((p - v) * int(inv[i]) - 1) % p + 1:
+        violation = f"walk hits 0 inside a label-{i} segment from {v}"
+    elif (v + tail * i) % p != p - 1:
+        violation = f"excursion over labels ({i - 1},{i}) does not return to p-1"
+    elif i == p - 1 and mi - tail != p - 2:
+        violation = f"final descent needs {p - 2} label-{p - 1} edges, got {mi - tail}"
+    else:
+        violation = f"walk hits 0 inside a label-{i} segment from {p - 1}"
+    return WalkValidation(False, violation)
 
 
 def check_symmetry(profile: LambdaProfile) -> list[str]:

@@ -43,15 +43,15 @@ from corewalk.residue_walk import (
 PRIMES_TO_600 = primes_in_range(3, 600)
 
 
-def reference_validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -> WalkValidation:
+def reference_validate_walk(profile: LambdaProfile) -> WalkValidation:
     """The scalar replay validate_walk used before its block pass, verbatim
-    except that the inverse table comes from pow(k, -1, p) and the vertex cap
-    counts the vertices the replay visits before it stops."""
+    except that the inverse table comes from pow(k, -1, p) and no vertex is
+    recorded."""
     p = profile.p
     m = profile.m
     y = profile.y
     inv = [0] + [pow(k, -1, p) for k in range(1, p)]
-    state: dict = {"v": 0, "vertices": [0] if vertex_cap >= 1 else None}
+    state: dict = {"v": 0}
 
     def advance(label: int, k: int) -> Optional[str]:
         v = state["v"]
@@ -60,17 +60,11 @@ def reference_validate_walk(profile: LambdaProfile, vertex_cap: int = 100_000) -
         steps_to_zero = (p - v) * inv[label] % p or p
         if k >= steps_to_zero:
             return f"walk hits 0 inside a label-{label} segment from {v}"
-        recorded = state["vertices"]
-        if recorded is not None and len(recorded) + k > vertex_cap:
-            state["vertices"] = None
-        elif recorded is not None:
-            recorded.extend((v + j * label) % p for j in range(1, k + 1))
         state["v"] = (v + k * label) % p
         return None
 
     def done(violation: Optional[str]) -> WalkValidation:
-        final = state["v"] if violation is None else None
-        return WalkValidation(violation is None, violation, state["vertices"], final)
+        return WalkValidation(violation is None, violation)
 
     m1 = int(m[1])
     if m1 < p - 1:
@@ -138,8 +132,6 @@ def _assert_same_replay(prof: LambdaProfile, block: int) -> None:
         got = validate_walk(prof)
     assert got.ok == expected.ok
     assert got.violation == expected.violation
-    assert got.vertices == expected.vertices
-    assert got.final_residue == expected.final_residue
 
 
 @st.composite

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corewalk import cli, oracle, residue_walk
+from corewalk import cli, modarith, oracle, residue_walk
 from corewalk.cli import _decimal_ratio, main
 from corewalk.errors import VerificationError
 
@@ -88,6 +89,32 @@ def test_lambda_parts_cap_follows_the_constant(capsys, monkeypatch):
     assert code == 0
     assert len(out.split("parts: ")[1].split(",")) == 395
 
+
+
+def test_lambda_parts_text_costs_a_few_bytes_per_part(tmp_path):
+    # p = 151 prints 1,504,563 parts: the shared part ints, the tuple and the
+    # output text come to about 21 B per part; one string per part, as a join
+    # over the whole tuple builds, would take about 78
+    out = tmp_path / "parts.txt"
+    tracemalloc.start()
+    try:
+        code = main(["lambda", "-p", "151", "--emit", "parts", "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    parts = out.read_text().split("parts: ")[1].count(",") + 1
+    assert parts == 1_504_563
+    assert peak < 32 * parts
+
+
+@pytest.mark.parametrize("emit", ["parts", "m"])
+def test_lambda_lists_print_the_same_across_block_edges(capsys, monkeypatch, emit):
+    # p = 11 has 395 parts and 10 row counts, so 7-entry blocks split both
+    code, whole, _ = run(capsys, "lambda", "-p", "11", "--emit", emit)
+    assert code == 0
+    monkeypatch.setattr(modarith, "_BLOCK", 7)
+    assert run(capsys, "lambda", "-p", "11", "--emit", emit) == (0, whole, "")
 
 def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify", "--min", "3", "--max", "60")

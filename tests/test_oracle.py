@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import random
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from corewalk.oracle import (
 )
 from corewalk.partitions import Partition, is_p_core, is_p_regular
 from corewalk.residue_walk import lambda_profile, partition_from_row_counts, profile_to_partition
+
+COREBENCH = Path(__file__).resolve().parents[1] / "corebench"
 
 
 def _collect(p):
@@ -74,7 +77,7 @@ def test_candidate_sizes_are_distinct_at_maximum():
 
 def test_longest_walk_dp_frozen():
     r = longest_walk_dp(3)
-    assert (r.length, r.count, r.m) == (3, 1, (2, 1))
+    assert (r.length, r.m) == (3, (2, 1))
     assert longest_walk_dp(5).m == (4, 2, 2, 3)
     assert longest_walk_dp(13).length == int(lambda_profile(13).m[1:].sum())
 
@@ -83,7 +86,6 @@ def test_longest_walk_dp_frozen():
 def test_longest_walk_dp_matches_profile(p):
     r = longest_walk_dp(p)
     prof = lambda_profile(p)
-    assert r.count == 1
     assert r.m == tuple(prof.m[1:].tolist())
 
 
@@ -92,10 +94,6 @@ def test_longest_walk_dp_caps():
         longest_walk_dp(521)
     with pytest.raises(ValueError):
         longest_walk_dp(2)
-
-
-def test_longest_walk_dp_without_profile_comparison():
-    assert longest_walk_dp(7, compare_profile=False).length == 25
 
 
 def test_iter_partitions_matches_pentagonal_counts():
@@ -158,19 +156,22 @@ def test_empty_cap_returns_empty_partition():
 
 
 def test_oracle_stays_apart_from_the_closed_form_pipeline():
-    # the routes check the pipeline, so they may not reuse it; lambda_profile
-    # is what compare_profile checks against and what the benchmark wraps here
+    # the routes check the pipeline, so they may not reuse it; the oracle
+    # imports lambda_profile only because corebench/tracing.py wraps it there
     tree = ast.parse(Path(oracle.__file__).read_text())
     imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     relative = [node for node in imports if isinstance(node, ast.ImportFrom) and node.level]
     assert {node.module for node in relative} <= {"errors", "modarith", "partitions", "residue_walk"}
     taken = [alias.name for node in relative if node.module == "residue_walk" for alias in node.names]
     assert taken == ["lambda_profile"]
-    # every route, the minimal-pair search included, runs without it but longest_walk_dp
+    spec = importlib.util.spec_from_file_location("corebench_tracing", COREBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert ("oracle", "lambda_profile", "residue_walk.lambda_profile") in tracing.WRAP_POINTS
+    # every route, the minimal-pair search and the dynamic program included, runs without it
     routes = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert "minimal_pair_direct" in routes
-    readers = {name for name, node in routes.items() if "lambda_profile" in _names_read(node)}
-    assert readers == {"longest_walk_dp"}
+    assert {"minimal_pair_direct", "longest_walk_dp"} <= routes.keys()
+    assert not [name for name, node in routes.items() if "lambda_profile" in _names_read(node)]
     absolute = [alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names]
     absolute += [node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level]
     assert not [name for name in absolute if name.split(".")[0] == "corewalk"]
@@ -239,3 +240,42 @@ def test_defaulted_parameters_are_passed_somewhere_in_the_package():
                 ):
                     unpassed.append(f"{module}.{node.name}({param})")
     assert unpassed == []
+
+
+def test_dataclass_fields_are_read_outside_their_class():
+    # every field and property of a corewalk dataclass must be read as an
+    # attribute somewhere in the package or the benchmark, outside its own
+    # class; a field that only tests read is output nobody asks for
+    package = Path(oracle.__file__).parent
+    paths = [*package.glob("*.py"), *COREBENCH.glob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    classes = [
+        node
+        for path, tree in trees.items()
+        if path.parent == package
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any(_is_dataclass_decorator(d) for d in node.decorator_list)
+    ]
+    unread = []
+    for cls in classes:
+        own = {id(sub) for sub in ast.walk(cls)}
+        reads = {
+            sub.attr
+            for tree in trees.values()
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and id(sub) not in own
+        }
+        fields = [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+        fields += [
+            stmt.name
+            for stmt in cls.body
+            if isinstance(stmt, ast.FunctionDef) and any(_names_read(d) == {"property"} for d in stmt.decorator_list)
+        ]
+        unread += [f"{cls.name}.{name}" for name in fields if name not in reads]
+    assert {cls.name for cls in classes} >= {"LambdaProfile", "WalkValidation", "ResidueClassification"}
+    assert unread == []
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return isinstance(target, ast.Name) and target.id == "dataclass"

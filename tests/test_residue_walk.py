@@ -16,6 +16,7 @@ from corewalk.residue_walk import (
     LambdaProfile,
     S_CLASS,
     T_CLASS,
+    WalkValidation,
     _coprime_pair_tables,
     check_st_lemmas,
     check_sum_identity,
@@ -226,28 +227,14 @@ def test_partition_from_row_counts():
 
 
 def test_validate_walk_p3_vertices():
-    wv = validate_walk(lambda_profile(3))
-    assert wv.ok
-    assert wv.vertices == [0, 1, 2, 1]
-    assert wv.final_residue == 1
+    # the walk 0, 1, 2, 1 itself is max_size_walk(3).m == (2, 1) in test_oracle.py
+    assert validate_walk(lambda_profile(3)) == WalkValidation(True, None)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
 def test_validate_walk_accepts_honest_profiles(p):
     wv = validate_walk(lambda_profile(p))
     assert wv.ok, wv.violation
-    assert wv.final_residue == 1
-    if wv.vertices is not None:
-        assert len(wv.vertices) == int(lambda_profile(p).m[1:].sum()) + 1
-        assert 0 not in wv.vertices[1:]
-
-
-def test_validate_walk_skips_recording_when_long(monkeypatch):
-    prof = lambda_profile(5)
-    monkeypatch.setattr(residue_walk, "_VERTEX_CAP", 3)
-    wv = validate_walk(prof)
-    assert wv.ok
-    assert wv.vertices is None
 
 
 def _tampered(prof: LambdaProfile, label: int, delta: int) -> LambdaProfile:
@@ -274,20 +261,21 @@ def test_validate_walk_rejects_tampered_row_counts():
     assert "final descent" in wv.violation
 
 
-def test_validate_walk_vertex_cap_is_exact_for_huge_row_counts():
-    # two rows of 2^62 make an int64 sum of m wrap negative, below any cap
+def test_validate_walk_names_the_violation_for_huge_row_counts():
+    # two rows of 2^62 make an int64 sum of m wrap negative; the replay
+    # still stops at the first of them
     prof = lambda_profile(1009)
     m = prof.m.copy()
     m[1007] = m[1008] = 2**62
     assert int(m[1:].sum()) < 0
     wv = validate_walk(dataclasses.replace(prof, m=m))
     assert not wv.ok
-    assert wv.vertices is None
+    assert wv.violation == "walk hits 0 inside a label-1007 segment from 1008"
 
 
-def test_validate_walk_vertex_cap_counts_the_recorded_walk():
+def test_validate_walk_names_a_short_last_row():
     # a last row that makes sum(m) = 10 fails only at label p-1, after
-    # 966130 recorded edges: the cap must count those, not sum(m)
+    # 966130 edges that all pass
     p = 1009
     prof = lambda_profile(p)
     m = prof.m.copy()
@@ -295,7 +283,6 @@ def test_validate_walk_vertex_cap_counts_the_recorded_walk():
     wv = validate_walk(dataclasses.replace(prof, m=m))
     assert not wv.ok
     assert wv.violation == f"label-{p - 1} block is shorter than the return to p-1"
-    assert wv.vertices is None
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_100)
