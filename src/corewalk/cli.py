@@ -12,6 +12,8 @@ overflow 64-bit readers are serialized as decimal strings in JSON.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -212,16 +214,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         text = json.dumps(doc, indent=2) + "\n"
     elif args.fmt == "csv":
-        header = "p," + ",".join(checks) + ",notes"
-        lines = [header]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")  # quotes a note that holds a comma
+        writer.writerow(["p", *checks, "notes"])
         for row in rows:
             notes = "; ".join(note for entry in row["checks"].values() for note in entry["notes"])
-            lines.append(
-                f"{row['p']},"
-                + ",".join(row["checks"][check]["status"] for check in checks)
-                + f",{notes}"
-            )
-        text = "\n".join(lines) + "\n"
+            writer.writerow([row["p"], *(row["checks"][check]["status"] for check in checks), notes])
+        text = buf.getvalue()
     else:
         lines = []
         for row in rows:

@@ -43,9 +43,10 @@ class LambdaProfile:
 
     Arrays are padded so index i holds the value for label i (index 0 is
     unused): m[i] rows with i gaps and the pair (x[i], y[i]), meaningful for
-    1 <= i <= p-2.  b[i] = m[1] + ... + m[i] beads on runner i, d[i] = p - m[i]
-    and c_prefix[i] = d[1] + ... + d[i] = i p - b[i] are not stored: each read
-    derives them from m as int64 arrays with index 0 holding 0.
+    1 <= i <= p-2; lambda_profile keeps the classification's x and y, which
+    share memory (y is x reversed).  b[i] = m[1] + ... + m[i] beads on runner
+    i, d[i] = p - m[i] and c_prefix[i] = d[1] + ... + d[i] = i p - b[i] are not
+    stored: each read derives them from m as int64 arrays with index 0 holding 0.
     """
 
     p: int
@@ -110,6 +111,7 @@ class ResidueClassification:
     kind[i] is S_CLASS or T_CLASS (uint8), (wr[i], ws[i]) is the witness
     (r, s) (uint16: r, s <= isqrt(p), see _FAST_P_LIMIT) and (x[i], y[i])
     the minimal pair (int32: 1 <= x, y < p < 2^31); index 0 and p-1 hold zeros.
+    ws and y are the views wr[::-1] and x[::-1]: a write to one writes the mirror.
     """
 
     p: int
@@ -145,10 +147,11 @@ def classify_residues(p: int) -> ResidueClassification:
     the same class, swapped witnesses and swapped pairs, and only the lower
     half 1..(p-1)/2 is computed: each landing is folded onto min(i, p-1-i),
     with the orientation swapped where it folded, and written once per form.
-    A sum-form pair, being its witness, is copied from wr, ws by the
-    congruence pass, one block of labels at a time.  The upper half is then
-    a reversed copy of the lower one, and its congruences follow from the
-    lower half's: with x_{p-1-i} = y_i and y_{p-1-i} = x_i,
+    ws and y are wr and x reversed, so every write at i writes p-1-i too,
+    and only kind is copied onto the upper half.  A sum-form pair, being its
+    witness, is copied from wr, ws by the congruence pass, one block of
+    labels at a time.  The upper half's congruences follow from the lower
+    half's: with x_{p-1-i} = y_i and y_{p-1-i} = x_i,
     (p-1-i) y_i + (p-i) x_i = -(i x_i + (i+1) y_i) mod p.
 
     The duplicate and coverage checks read uint8 class marks on the lower
@@ -171,9 +174,8 @@ def classify_residues(p: int) -> ResidueClassification:
     # temporaries, the outputs would pin them and raise peak RSS
     kind = np.zeros(p, dtype=np.uint8)
     wr = np.zeros(p, dtype=np.uint16)
-    ws = np.zeros(p, dtype=np.uint16)
     x = np.zeros(p, dtype=np.int32)
-    y = np.zeros(p, dtype=np.int32)
+    ws, y = wr[::-1], x[::-1]  # a write at i lands on the mirror residue p-1-i
 
     # the (mn, mx) landings; each product has both factors below p
     i_s = p - mx
@@ -231,17 +233,14 @@ def classify_residues(p: int) -> ResidueClassification:
 
     for lo, hi in label_blocks(1, half + 1):
         xb, yb, sum_form = x[lo:hi], y[lo:hi], kind[lo:hi] == T_CLASS
-        xb += wr[lo:hi] * sum_form  # x, y are still 0 there: fraction-form pairs went to S_CLASS
-        yb += ws[lo:hi] * sum_form
+        np.copyto(xb, wr[lo:hi], where=sum_form)
+        np.copyto(yb, ws[lo:hi], where=sum_form)  # copied, not added: at (p-1)/2 yb is xb
         # i, x, y < p, so the int64 products and their sum stay below 2 p^2 < 2^63
         i = np.arange(lo, hi, dtype=np.int64)
         bad = np.flatnonzero(mod_p(i * xb + (i + 1) * yb, p))
         if bad.size:
             raise ClassificationError(f"pair fails its congruence at i={lo + int(bad[0])}, p={p}")
-    # the upper half half+1..p-2 mirrors the lower half's 1..half-1
-    upper, lower = slice(half + 1, p - 1), slice(half - 1, 0, -1)
-    for dst, src in ((kind, kind), (wr, ws), (ws, wr), (x, y), (y, x)):
-        dst[upper] = src[lower]
+    kind[half + 1 : p - 1] = kind[half - 1 : 0 : -1]  # the upper half's class mirrors the lower's
     return ResidueClassification(p, kind, wr, ws, x, y)
 
 

@@ -2,10 +2,11 @@
 
 classify_residues decides its duplicate and coverage checks with uint8 class
 marks on the lower half of the residues, stores the witnesses as uint16 and
-the pairs as int32, and copies the upper half from the lower.  The version it replaced, with two
-int64 bincounts and int64 witnesses over all residues, is kept here as a
-reference; every ClassificationError branch is reached by a corrupted pair
-table, or by a corrupted inverse table where no pair table can reach it.
+the pairs as int32, and holds ws and y as reversed views of wr and x.  The
+version it replaced, with two int64 bincounts and int64 witnesses over all
+residues, is kept here as a reference; every ClassificationError branch is
+reached by a corrupted pair table, or by a corrupted inverse table where no
+pair table can reach it.
 """
 
 import dataclasses
@@ -128,7 +129,8 @@ def test_mirrored_orientations_land_on_p_minus_1():
 
 
 def test_upper_half_mirrors_the_lower_half():
-    # the upper half is copied from the lower one: same class, swapped witness and pair
+    # same class, swapped witness and pair; ws and y are wr and x reversed, so
+    # each mirrored fact has one home, which the profile keeps
     for p in primes_in_range(3, 3000):
         cls = classify_residues(p)
         i = np.arange(1, p - 1)
@@ -136,6 +138,10 @@ def test_upper_half_mirrors_the_lower_half():
         assert np.array_equal(cls.kind[j], cls.kind[i]), p
         for a, b in (("wr", "ws"), ("ws", "wr"), ("x", "y"), ("y", "x")):
             assert np.array_equal(getattr(cls, a)[j], getattr(cls, b)[i]), (p, a)
+        assert np.shares_memory(cls.y, cls.x) and np.shares_memory(cls.ws, cls.wr), p
+        assert lambda_profile(p, cls).x is cls.x, p
+        half = (p - 1) // 2  # the pair (1, 1), written twice to one entry and never summed
+        assert cls.x[half] == cls.y[half] == 1, p
 
 
 def test_witness_bound_fits_uint16():
@@ -171,11 +177,11 @@ def test_classification_memory_per_residue():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 28 * p  # 25.6 B per residue measured
+    assert peak < 21 * p  # 19.6 B per residue measured
 
 
-def test_classification_and_profile_hold_at_most_22_bytes_per_residue():
-    # kind (1 B), wr, ws (2 B each), x, y (4 B each) and m (8 B): 21 B per residue
+def test_classification_and_profile_hold_at_most_16_bytes_per_residue():
+    # kind (1 B), wr (2 B), x (4 B) and m (8 B): 15 B per residue; ws and y are views
     p = 200003
     _coprime_pair_tables(math.isqrt(p))  # warm: the table is not counted
     tracemalloc.start()
@@ -186,7 +192,7 @@ def test_classification_and_profile_hold_at_most_22_bytes_per_residue():
     finally:
         tracemalloc.stop()
     assert prof.p == cls.p == p
-    assert held <= 22 * p
+    assert held <= 16 * p
 
 
 def _corrupted(edit):

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -129,6 +131,19 @@ def test_verify_check_selection(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header == "p,c-bounds,symmetry,identity,notes"
+
+
+def test_verify_csv_quotes_a_note_that_holds_a_comma(capsys, monkeypatch):
+    note = "excursion over labels (i-1,i) does not return to p-1"
+    monkeypatch.setattr(cli, "validate_walk", lambda profile: residue_walk.WalkValidation(False, note))
+    code, out, _ = run(capsys, "verify", "--min", "3", "--max", "20", "--checks", "structure", "--format", "csv")
+    assert code == 1
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["p", "structure", "notes"]
+    assert [row[0] for row in rows] == ["3", "5", "7", "11", "13", "17", "19"]
+    for row in rows:
+        assert len(row) == len(header)
+        assert row[1:] == ["fail", note]
 
 
 def test_verify_reads_symmetry_and_identity_off_the_profile(capsys, monkeypatch):

@@ -455,6 +455,11 @@ def test_profile_rejects_broken_classification():
     x[1] += 1
     with pytest.raises(VerificationError, match="pair mirror symmetry"):
         lambda_profile(11, dataclasses.replace(cls, x=x))
+    # from classify_residues y is x reversed; a hand-built y is checked on its own
+    y = cls.y.copy()
+    y[3] = 0
+    with pytest.raises(VerificationError, match="pair positivity"):
+        lambda_profile(11, dataclasses.replace(cls, y=y))
 
 
 def test_profile_rejects_bad_p():
