@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import VerificationError
+from .modarith import totient_sieve
 from .residue_walk import LambdaProfile, _row_sums
 
 STATED_THEOREM_MIN_P = 10**6
@@ -143,18 +144,6 @@ def bounds_report(profile: LambdaProfile) -> dict[str, Bound]:
         "construction_comparison": _weak(int(96 * (size - construction)), False),
         **c_bounds_check(profile),
     }
-
-
-def totient_sieve(n: int) -> list[int]:
-    """phi(0..n) by the standard multiplicative sieve."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    phi = list(range(n + 1))
-    for i in range(2, n + 1):
-        if phi[i] == i:
-            for j in range(i, n + 1, i):
-                phi[j] -= phi[j] // i
-    return phi
 
 
 def totient_partial_sum(n: int) -> Fraction:

@@ -1,8 +1,8 @@
 """Exact elementary number theory helpers.
 
-Everything here is integer-only: a batched table of modular inverses and
-deterministic primality testing.  No floating point is used anywhere, so
-results are exact at any magnitude.
+Everything here is integer-only: a batched table of modular inverses, Euler's
+totient by sieve and deterministic primality testing.  No floating point is
+used anywhere, so results are exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -22,12 +22,19 @@ import numpy as np
 # (size_from_bead_multiplicities).  mod_p reduces an int64 a as a - (a // p) p:
 # (a // p) p lies in (a - p, a], so |(a // p) p| <= |a| < 2^63 for a >= 0 and
 # nothing wraps for any a >= p - 2^63; every term it reduces is nonnegative.
-# Witness entries r, s <= isqrt(p) <= 46340 fit uint16; their sums and squares
-# do not.  Minimal-pair entries 1 <= x, y < p <= 2^31 - 1 fit int32; their sums
-# and products do not, so every reader that adds or multiplies them widens a
+# Witness entries r, s <= isqrt(p) <= k = isqrt(2^31 - 1) = 46340 fit uint16;
+# their sums and squares do not.  The int32 coprime pair tables hold
+# mn < mx <= k and inv(mn) mod mx < mx: every entry is below 2^16, mn + mx
+# below 2^17, and the split point's (p % mx) inv(mn) and mn w (w < mx) below
+# k^2 < 2^31.  The landings' products reach p^2: p - mx is written as int64
+# first, since an int32 p - mx multiplied in place by int64 inverses stays
+# int32 and wraps (the duplicate check then refuses p = 1000003 and 4000037).
+# Minimal-pair entries 1 <= x, y < p <= 2^31 - 1 fit int32; their sums and
+# products do not, so every reader that adds or multiplies them widens a
 # block to int64 first.
 _FAST_P_LIMIT = 1 << 31
-assert math.isqrt(_FAST_P_LIMIT - 1) < 1 << 16
+_K = math.isqrt(_FAST_P_LIMIT - 1)
+assert _K < 1 << 16 and 2 * _K < 1 << 17 and _K * _K <= np.iinfo(np.int32).max
 assert _FAST_P_LIMIT - 1 <= np.iinfo(np.int32).max
 
 # Vectorized passes take this many labels at a time, so their temporaries
@@ -130,6 +137,18 @@ def inverse_range(n: int, p: int) -> np.ndarray:
     for lo, hi in label_blocks(half + 1, n + 1):
         inv[lo:hi] = p - inv[p - lo : p - hi : -1]
     return inv
+
+
+def totient_sieve(n: int) -> list[int]:
+    """phi(0..n) by the standard multiplicative sieve."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    phi = list(range(n + 1))
+    for i in range(2, n + 1):
+        if phi[i] == i:
+            for j in range(i, n + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
 
 
 # Strong-pseudoprime witnesses that make Miller-Rabin deterministic for all

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .errors import ClassificationError, VerificationError
-from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, mod_p, require_odd_prime
+from .modarith import _FAST_P_LIMIT, inverse_range, label_blocks, mod_p, require_odd_prime, totient_sieve
 from .partitions import Partition
 
 # codes stored in ResidueClassification.kind
@@ -90,18 +90,23 @@ def _coprime_pair_tables(k: int) -> _PairTables:
     inv(mn) mod mx is the left neighbour's denominator b1 < mx.  The walk goes
     level by level from (0/1, 1/1), with no gcd and no product, and drops an
     interval once its mediant's denominator (less than its descendants') exceeds k.
+    The walk and the tables are int32 (every entry is at most k < 2^16), and
+    the phi(2) + ... + phi(k) pairs are written into the tables level by level.
     """
-    a1, b1, a2, b2 = (np.array([v], dtype=np.int64) for v in (0, 1, 1, 1))
-    levels = []
+    tables = _PairTables(*(np.empty(sum(totient_sieve(k)[2:]), dtype=np.int32) for _ in range(3)))
+    a1, b1, a2, b2 = (np.array([v], dtype=np.int32) for v in (0, 1, 1, 1))
+    at = 0
     while a1.size:
         keep = b1 + b2 <= k
         a1, b1, a2, b2 = a1[keep], b1[keep], a2[keep], b2[keep]
         a, b = a1 + a2, b1 + b2
-        levels.append((a, b, b1))
+        for column, level in zip(tables, (a, b, b1)):
+            column[at : at + a.size] = level
+        at += a.size
         # the next level: (a1/b1, a/b) and (a/b, a2/b2) for every kept interval
         a1, b1 = np.concatenate((a1, a)), np.concatenate((b1, b))
         a2, b2 = np.concatenate((a, a2)), np.concatenate((b, b2))
-    return _PairTables(*(np.concatenate(column) for column in zip(*levels)))
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,6 +135,23 @@ def _swap_where(a: np.ndarray, b: np.ndarray, swap: np.ndarray) -> None:
     b ^= d
 
 
+def _landings(p: int, mn: np.ndarray, mx: np.ndarray, inv_small: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (mn, mx) orientation's residues -mx/(mx-mn) and -mx/(mn+mx), as int64.
+
+    One block of pairs at a time, so the gathers and their indices stay
+    O(_BLOCK); p - mx is taken in int64 (modarith's bound comment).  The block
+    views die with this frame, so none keeps its whole array alive.
+    """
+    i_s, i_t = np.empty(mn.size, dtype=np.int64), np.empty(mn.size, dtype=np.int64)
+    for lo, hi in label_blocks(0, mn.size):
+        s_b, t_b, mn_b, mx_b = i_s[lo:hi], i_t[lo:hi], mn[lo:hi], mx[lo:hi]
+        np.subtract(p, mx_b, out=s_b, dtype=np.int64)
+        mod_p(np.multiply(s_b, inv_small[mn_b + mx_b], out=t_b), p)
+        s_b *= inv_small[mx_b - mn_b]
+        mod_p(s_b, p)
+    return i_s, i_t
+
+
 def classify_residues(p: int) -> ResidueClassification:
     """Classify every residue 1..p-2 by its witness pair (r, s).
 
@@ -145,10 +167,11 @@ def classify_residues(p: int) -> ResidueClassification:
     form, because the two orientations' residues sum to -1 mod p.  Witness
     (1, 1) lands on (p-1)/2, its own mirror.  So residues i and p-1-i carry
     the same class, swapped witnesses and swapped pairs, and only the lower
-    half 1..(p-1)/2 is computed: each landing is folded onto min(i, p-1-i),
-    with the orientation swapped where it folded, and written once per form.
-    ws and y are wr and x reversed, so every write at i writes p-1-i too,
-    and only kind is copied onto the upper half.  A sum-form pair, being its
+    half 1..(p-1)/2 is computed: each landing is folded in place onto
+    min(i, p-1-i) = (p-1)/2 - |i - (p-1)/2|, with the orientation swapped
+    where it folded, and written once per form.  ws and y are wr and x
+    reversed, so every write at i writes p-1-i too, and only kind is copied
+    onto the upper half.  A sum-form pair, being its
     witness, is copied from wr, ws by the congruence pass, one block of
     labels at a time.  The upper half's congruences follow from the lower
     half's: with x_{p-1-i} = y_i and y_{p-1-i} = x_i,
@@ -169,31 +192,25 @@ def classify_residues(p: int) -> ResidueClassification:
     k = math.isqrt(p)
     mn, mx, inv_mn_mod_mx = _coprime_pair_tables(k)
     inv_small = inverse_range(2 * k, p)
-    # the outputs first, so that the pair-length temporaries lie above them
-    # in the heap and go back to the system when freed; allocated after the
-    # temporaries, the outputs would pin them and raise peak RSS
     kind = np.zeros(p, dtype=np.uint8)
     wr = np.zeros(p, dtype=np.uint16)
     x = np.zeros(p, dtype=np.int32)
     ws, y = wr[::-1], x[::-1]  # a write at i lands on the mirror residue p-1-i
 
-    # the (mn, mx) landings; each product has both factors below p
-    i_s = p - mx
-    i_t = mod_p(i_s * inv_small[mn + mx], p)
-    i_s *= inv_small[mx - mn]
-    mod_p(i_s, p)
+    i_s, i_t = _landings(p, mn, mx, inv_small)
     for name, idx in (("fraction-form", i_s), ("sum-form", i_t)):
         if idx.size and (int(idx.min()) < 1 or int(idx.max()) > p - 2):
             raise ClassificationError(f"{name} witness fell outside 1..p-2 at p={p}")
     half = (p - 1) // 2
     on_half = bool(np.any(i_s == half))  # its own mirror: the folded count misses it
-    lo16, hi16 = mn.astype(np.uint16), mx.astype(np.uint16)
 
     def land(idx: np.ndarray, form: int) -> np.ndarray:
         """Fold idx onto the lower half and mark it, (mx, mn) where it folded."""
         folded = idx > half
-        np.minimum(idx, p - 1 - idx, out=idx)
-        r, s = lo16.copy(), hi16.copy()
+        idx -= half  # three passes, no temporary: a where= subtract takes longer
+        np.abs(idx, out=idx)
+        np.subtract(half, idx, out=idx)
+        r, s = mn.astype(np.uint16), mx.astype(np.uint16)
         _swap_where(r, s, folded)
         kind[idx], wr[idx], ws[idx] = form, r, s
         return folded
@@ -203,7 +220,6 @@ def classify_residues(p: int) -> ResidueClassification:
     sum_dup = np.count_nonzero(kind[: half + 1]) != i_t.size + 1
     folded = land(i_s, S_CLASS)
     fraction_dup = on_half or np.count_nonzero(kind[: half + 1] == S_CLASS) != i_s.size
-    del lo16, hi16
     # the folded landings and their mirrors are the unfolded ones, as a multiset
     for dup, name, idx, extra in ((fraction_dup, "fraction-form", i_s, []), (sum_dup, "sum-form", i_t, [half])):
         if dup:
@@ -226,9 +242,9 @@ def classify_residues(p: int) -> ResidueClassification:
         raise ClassificationError(f"split point misses divisibility at p={p}")
     del miss
     _swap_where(other, w, folded)
-    # 1 <= w < mx, so mn w < mn mx < p and 0 < other < p: both fit the int32 pairs
-    x[i_s] = other.astype(np.int32)
-    y[i_s] = w.astype(np.int32)
+    # int32 like the tables; 1 <= w < mx, so mn w < mn mx < p and 0 < other < p
+    x[i_s] = other
+    y[i_s] = w
     del i_s, folded, w, other
 
     for lo, hi in label_blocks(1, half + 1):
@@ -413,9 +429,11 @@ def profile_to_partition(profile: LambdaProfile) -> Partition:
 def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) -> tuple[int, int]:
     """First label i in 1..p-1 whose replay checks fail and its start vertex, or (p, 1).
 
-    Label i takes tail = inv(-i) - y[i-1] edges to p-1 and then
-    rest = m[i] - tail edges on; the opening climb is label 1's tail of p-1
-    edges from vertex 0 (y[0] = 0).  If every earlier label passed, label
+    inv holds the inverses of 1..(p-1)/2; a block's labels above (p-1)/2
+    take inv(i) = p - inv(p-i), rebuilt here a block at a time.  Label i
+    takes tail = inv(-i) - y[i-1] edges to p-1 and then rest = m[i] - tail
+    edges on; the opening climb is label 1's tail of p-1 edges from vertex 0
+    (y[0] = 0).  If every earlier label passed, label
     i > 1 starts at (p-1 + rest_{i-1} (i-1)) mod p, so a block of labels is
     checked at once, and after label p-1 the walk sits at (p-1)^2 = 1 mod p.
     A label can pass only with |y[i-1]| < p and 0 <= m[i] < 2p, so clipping
@@ -437,10 +455,13 @@ def _first_failing_label(p: int, m: np.ndarray, y: np.ndarray, inv: np.ndarray) 
     vertex's p - 1 + clip(rest) i lies in [0, p^2) and (p - v) inv(i) - 1 in
     [0, p (p-1)), with p^2 < 2^62.
     """
-    start = 0
+    start, mirror = 0, (p + 1) // 2  # the first label whose inverse is rebuilt
     for lo, hi in label_blocks(1, p):
         i = np.arange(lo, hi, dtype=np.int64)
-        inv_i = inv[lo:hi]
+        inv_i = np.empty(hi - lo, dtype=np.int64)
+        mid = min(max(lo, mirror), hi)
+        inv_i[: mid - lo] = inv[lo:mid]
+        np.subtract(p, inv[p - mid : p - hi : -1], out=inv_i[mid - lo :])
         # y may be int32: widened to int64 before the clip, tail lies in [1-p, 2p-1]
         tail = (p - inv_i) - np.clip(y[lo - 1 : hi - 1].astype(np.int64, copy=False), -p, p)
         mi = np.clip(m[lo:hi], -1, 2 * p)
@@ -469,22 +490,24 @@ def validate_walk(profile: LambdaProfile) -> WalkValidation:
     label is checked in int64 blocks of _BLOCK labels by _first_failing_label
     (with its overflow bound), and only the first failing label is evaluated
     again in Python ints, to name its violation.  The replay is O(p) with one
-    inverse table and O(_BLOCK) temporaries.
+    inverse table of 1..(p-1)/2, since inv(p-i) = p - inv(i), and O(_BLOCK)
+    temporaries.
     """
     p, m, y = profile.p, profile.m, profile.y
-    inv = inverse_range(p - 1, p)
+    inv = inverse_range((p - 1) // 2, p)
     i, v = _first_failing_label(p, m, y, inv)
     if i == p:
         return WalkValidation(True, None)
     mi = int(m[i])
-    tail = p - int(inv[i]) - int(y[i - 1])
+    inv_i = int(inv[i]) if 2 * i < p else p - int(inv[p - i])
+    tail = p - inv_i - int(y[i - 1])
     if tail < 0:
         violation = f"stored pair exceeds its cap before label {i}"
     elif mi < tail and i == 1:
         violation = f"opening climb needs {p - 1} label-1 edges, profile has {mi}"
     elif mi < tail:
         violation = f"label-{i} block is shorter than the return to p-1"
-    elif tail >= ((p - v) * int(inv[i]) - 1) % p + 1:
+    elif tail >= ((p - v) * inv_i - 1) % p + 1:
         violation = f"walk hits 0 inside a label-{i} segment from {v}"
     elif (v + tail * i) % p != p - 1:
         violation = f"excursion over labels ({i - 1},{i}) does not return to p-1"
@@ -497,14 +520,16 @@ def validate_walk(profile: LambdaProfile) -> WalkValidation:
 
 def check_symmetry(profile: LambdaProfile) -> list[str]:
     """Mirror identities: (x_i, y_i) = (y_{p-1-i}, x_{p-1-i}), m_i = m_{p-i}."""
-    p = profile.p
+    p, m = profile.p, profile.m
     out = []
-    mism = np.flatnonzero(profile.x[1 : p - 1] != profile.y[p - 2 : 0 : -1])
-    if mism.size:
-        out.append(f"pair mirror symmetry fails at i={int(mism[0]) + 1}")
-    mism = np.flatnonzero(profile.m[2 : p - 1] != profile.m[p - 2 : 1 : -1])
-    if mism.size:
-        out.append(f"row count symmetry fails at i={int(mism[0]) + 2}")
+    # a[j] against b[j] at label i = j + shift, a block of labels at a time:
+    # x_i and y_{p-1-i}, m_i and m_{p-i}, with no p-length mask
+    for what, a, b, shift in (("pair mirror", profile.x, profile.y[::-1], 0), ("row count", m[1:], m[::-1], 1)):
+        for lo, hi in label_blocks(1, p - 1 - shift):
+            mism = np.flatnonzero(a[lo:hi] != b[lo:hi])
+            if mism.size:
+                out.append(f"{what} symmetry fails at i={lo + shift + int(mism[0])}")
+                break
     return out
 
 

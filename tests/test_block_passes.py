@@ -4,7 +4,9 @@ validate_walk, inverse_range and size_from_bead_multiplicities evaluate
 p-length loops as numpy passes over blocks of modarith._BLOCK labels, and
 modarith.mod_p reduces modulo p one block at a time.  The scalar loops they
 replaced are kept here as references, and every test that compares the two
-shrinks the block so that failures and sums straddle block edges.  The readers of the int32 minimal pairs are run on int64 copies too,
+shrinks the block so that failures and sums straddle block edges.
+check_symmetry's block pass is compared with its whole-array form the same
+way.  The readers of the int32 minimal pairs are run on int64 copies too,
 and must reach the same verdicts.
 """
 
@@ -99,6 +101,19 @@ def reference_validate_walk(profile: LambdaProfile) -> WalkValidation:
     if state["v"] != 1:
         return done(f"walk ends at {state['v']}, expected 1")
     return done(None)
+
+
+def reference_check_symmetry(profile: LambdaProfile) -> list[str]:
+    """check_symmetry's whole-array comparisons before its block pass, verbatim."""
+    p = profile.p
+    out = []
+    mism = np.flatnonzero(profile.x[1 : p - 1] != profile.y[p - 2 : 0 : -1])
+    if mism.size:
+        out.append(f"pair mirror symmetry fails at i={int(mism[0]) + 1}")
+    mism = np.flatnonzero(profile.m[2 : p - 1] != profile.m[p - 2 : 1 : -1])
+    if mism.size:
+        out.append(f"row count symmetry fails at i={int(mism[0]) + 2}")
+    return out
 
 
 def reference_size(p: int, b) -> int:
@@ -197,7 +212,32 @@ def test_block_pass_flags_no_label_of_an_honest_walk(p, block):
     prof = _profile(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modarith, "_BLOCK", block)
-        assert _first_failing_label(p, prof.m, prof.y, inverse_range(p - 1, p)) == (p, 1)
+        assert _first_failing_label(p, prof.m, prof.y, inverse_range((p - 1) // 2, p)) == (p, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tampered_profiles(), st.sampled_from([1, 7, 64]))
+def test_block_symmetry_check_matches_whole_array_check(prof, block):
+    # a tampered y is a copy, apart from x: its pair mirror fails too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modarith, "_BLOCK", block)
+        assert check_symmetry(prof) == reference_check_symmetry(prof)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 61, 409])
+def test_half_table_replay_matches_scalar_replay_at_the_midpoint(p):
+    # labels (p-1)/2 and (p+1)/2 read the half table's last entry and the first
+    # inverse rebuilt as p - inv(p-i); a block of (p+1)/2 labels straddles the
+    # two, and at p = 3, 5 and 7 the table holds 1 to 3 entries
+    prof, half = _profile(p), (p - 1) // 2
+    tampered = [prof, _tamper(prof, "m", {half: 1, half + 1: -1}), _tamper(prof, "m", {half: -1, half + 1: 1})]
+    for label in (half, half + 1):
+        tampered += [_tamper(prof, "m", {label: delta}) for delta in (-2, -1, 1, 2)]
+        if label >= 2:  # y[label-1] sets label's tail
+            tampered += [_tamper(prof, "y", {label - 1: d}) for d in (-p, 1 - p, -2, -1, 1, 2, p - 1, p)]
+    for tampered_prof in tampered:
+        for block in (1, 7, half + 1):
+            _assert_same_replay(tampered_prof, block)
 
 
 MOD_PRIMES = [3, 1000003, (1 << 31) - 1]
@@ -487,10 +527,19 @@ def test_block_pass_temporaries_do_not_grow_with_p():
     extra = {"walk": [], "size": []}
     for p in (primes_in_range(50_000, 50_100)[0], primes_in_range(200_000, 200_100)[0]):
         prof = lambda_profile(p)
-        inv_bytes = inverse_range(p - 1, p).nbytes
+        inv_bytes = inverse_range((p - 1) // 2, p).nbytes
         assert validate_walk(prof).ok
         extra["walk"].append(_peak_traced_bytes(lambda: validate_walk(prof)) - inv_bytes)
         b = prof.b[1:]
         extra["size"].append(_peak_traced_bytes(lambda: size_from_bead_multiplicities(p, b)))
     for name, (small, large) in extra.items():
         assert abs(large - small) < 1 << 20, (name, small, large)
+
+
+def test_walk_replay_holds_half_an_inverse_table():
+    # above the profile: the int64 inverses of 1..(p-1)/2, 4 B per residue,
+    # and the block temporaries; 11.3 B per residue measured, 14.7 B with
+    # the p-length table
+    p = 200003
+    prof = _profile(p)
+    assert _peak_traced_bytes(lambda: validate_walk(prof)) < 12 * p

@@ -180,6 +180,21 @@ def test_classification_memory_per_residue():
     assert peak < 21 * p  # 19.6 B per residue measured
 
 
+def test_classification_alone_peaks_below_15_bytes_per_residue():
+    # kind, wr and x (7 B per residue) and the int64 landings i_s and i_t
+    # (2.4 B each at 60873 pairs): 14.1 B measured.  i_t held into the
+    # split-point stage, by a leftover name or block view, reads 16.0 B
+    p = 200003
+    _coprime_pair_tables(math.isqrt(p))  # warm: the table is not counted
+    tracemalloc.start()
+    try:
+        classify_residues(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * p
+
+
 def test_classification_and_profile_hold_at_most_16_bytes_per_residue():
     # kind (1 B), wr (2 B), x (4 B) and m (8 B): 15 B per residue; ws and y are views
     p = 200003
